@@ -111,11 +111,11 @@ def _cmd_diagnose(args, config) -> int:
         Filtration.doubling(labels, target) if stages == "doubling" else Filtration.prefixes(labels, target)
     )
     tr = trace(kernel, filtration)
-    ratios = None
+    ratios, ratio_error = None, None
     try:
         ratios = det_ratio_trace(kernel, filtration)
-    except RKHSKitError:
-        pass  # rank-deficient stages have no determinant ratio
+    except RKHSKitError as err:
+        ratio_error = str(err)  # rank-deficient stages have no determinant ratio
     verdict = classify(
         tr,
         tau_stab=float(_opt(args, config, "tau-stab", 1e-10)),
@@ -140,7 +140,10 @@ def _cmd_diagnose(args, config) -> int:
                 ]
             )
             prev = float(value)
-        out.write(json.dumps(_verdict_doc(verdict), sort_keys=True) + "\n")
+        doc = _verdict_doc(verdict)
+        if ratio_error is not None:
+            doc["det_ratio_unavailable"] = ratio_error
+        out.write(json.dumps(doc, sort_keys=True) + "\n")
     finally:
         if close:
             out.close()
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
     except MonotonicityViolation as err:
         print(f"numerical breakdown: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (RKHSKitError, ValueError, OSError, json.JSONDecodeError, KeyError) as err:
+    except (RKHSKitError, ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

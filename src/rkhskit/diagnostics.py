@@ -137,16 +137,29 @@ def _reported_stages(filtration: Filtration):
             yield pos, stage
 
 
+def _assemble_bordered(kernel: Kernel, points, prev):
+    """Assemble a stage and seed its factor from ``prev``, the previous
+    member of the same nested family (None for the first)."""
+    gram = assemble_gram(kernel, points)
+    gram.border(prev)
+    return gram
+
+
 def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     """Projection norms of the target over every stage containing it.
 
     Kernels with an exact integer path are solved in rational arithmetic, so
-    their traces carry no rounding at all.  Stage computations are pure
-    functions of (kernel, stage); order of evaluation cannot change values.
+    their traces carry no rounding at all.  Float stages are not factored
+    afresh: each reported stage borders the factor of the one before it
+    (:meth:`GramMatrix.border`), falling back to the pivoted factorization
+    where bordering does not apply.  A float value therefore depends on the
+    stages before it through rounding, within the solve's residual contract,
+    and is not bit-identical to a solve of that stage on its own.
     """
     target = filtration.target
     indices, sizes, values = [], [], []
     exact_values: list | None = [] if kernel.is_exact else None
+    gram = None
     for pos, stage in _reported_stages(filtration):
         if exact_values is not None:
             matrix = kernel.exact_gram(stage.labels)
@@ -154,7 +167,7 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
             exact_values.append(val)
             values.append(float(val))
         else:
-            gram = assemble_gram(kernel, stage)
+            gram = _assemble_bordered(kernel, stage, gram)
             values.append(projection_norm_sq(gram, target))
         indices.append(pos)
         sizes.append(len(stage))
@@ -173,21 +186,25 @@ def det_ratio_trace(kernel: Kernel, filtration: Filtration) -> np.ndarray:
 
     For strictly positive-definite stages, det(target-deleted minor) / det(K)
     equals the projection norm; computed here entirely from determinants so it
-    stays an independent cross-check of :func:`trace`.
+    stays an independent cross-check of :func:`trace`.  The stages and their
+    target-deleted minors form two nested families, each grown as its own
+    bordered factor.
     """
     target = filtration.target
     ratios = []
+    full = minor = None
     for _, stage in _reported_stages(filtration):
         ti = stage.index(target)
         if kernel.is_exact:
             matrix = kernel.exact_gram(stage.labels)
             ratios.append(float(exact.exact_det_ratio(matrix, ti)))
             continue
-        full = assemble_gram(kernel, stage)
+        full = _assemble_bordered(kernel, stage, full)
         ld_full = log_det(full)
         rest = [x for x in stage if x != target]
         if rest:
-            ld_minor = log_det(assemble_gram(kernel, PointSet.of(rest)))
+            minor = _assemble_bordered(kernel, PointSet.of(rest), minor)
+            ld_minor = log_det(minor)
         else:
             ld_minor = 0.0
         ratios.append(math.exp(ld_minor - ld_full))

@@ -3,8 +3,9 @@
 Kernel documents look like ``{"kernel": {"type": ...}, "points": [...]}``
 where type is one of brownian, bridge, binomial, table (with labels and
 entries), or network (with an embedded network document).  Matrices travel as
-CSV with a header row of point labels; floats print with 17 significant
-digits so artifacts diff cleanly and round-trip exactly.
+CSV with a header row of point labels, tuple labels spelled as JSON arrays;
+floats print with 17 significant digits so artifacts diff cleanly and
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .builtin import BinomialKernel, BridgeKernel, BrownianKernel
-from .core import Kernel, PointSet, TableKernel
+from .core import Kernel, PointSet, TableKernel, _canon_label
 from .network import Network, green_kernel
 
 
@@ -88,7 +89,7 @@ def kernel_doc(kernel: Kernel, points: PointSet) -> dict:
 
 def write_matrix_csv(fp: TextIO, labels, matrix) -> None:
     writer = csv.writer(fp)
-    writer.writerow([fmt(x) if not isinstance(x, str) else x for x in labels])
+    writer.writerow([_label_text(x) for x in labels])
     rows = matrix if not isinstance(matrix, np.ndarray) else matrix.tolist()
     for row in rows:
         writer.writerow([fmt(v) for v in row])
@@ -104,7 +105,21 @@ def read_matrix_csv(fp: TextIO) -> tuple[list, np.ndarray]:
     return labels, matrix
 
 
+def _label_text(label) -> str:
+    # tuple labels (tree words) are spelled as JSON arrays
+    if isinstance(label, str):
+        return label
+    if isinstance(label, tuple):
+        return json.dumps(label)
+    return fmt(label)
+
+
 def _parse_label(text: str):
+    if text.startswith("["):
+        try:
+            return _canon_label(json.loads(text))
+        except ValueError:
+            return text
     for cast in (int, float):
         try:
             return cast(text)

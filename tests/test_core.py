@@ -278,6 +278,52 @@ class TestInvariants:
         assert all(r is results[0] for r in results)
 
 
+class TestBorder:
+    def test_matches_pivoted_factor(self):
+        full = random_pd_gram(np.random.default_rng(5), 9)
+        lead = GramMatrix(PointSet(tuple(range(5))), full.matrix[:5, :5])
+        assert lead.border(None)
+        assert full.border(lead)
+        fact = full.factorization()
+        assert np.array_equal(fact.perm, np.arange(9))
+        assert np.allclose(fact.lower @ fact.lower.T, full.matrix, rtol=0, atol=1e-12)
+        fresh = GramMatrix(full.points, full.matrix)
+        assert log_det(full) == pytest.approx(log_det(fresh), rel=1e-12)
+        for target in range(9):
+            assert projection_norm_sq(full, target) == pytest.approx(
+                projection_norm_sq(fresh, target), rel=1e-9
+            )
+
+    def test_falls_back_unless_leading_block_equal(self):
+        lead = GramMatrix(PointSet((0,)), [[1.0]])
+        lead.factorization()
+        gram = GramMatrix(PointSet((0, 1)), [[1.0 + 2e-16, 0.5], [0.5, 1.0]])
+        assert not gram.border(lead)
+        assert gram._factor is None
+
+    def test_falls_back_unless_previous_factor_pd_in_order(self):
+        unfactored = GramMatrix(PointSet((0, 1)), np.diag([1.0, 2.0]))
+        permuted = GramMatrix(PointSet((0, 1)), np.diag([1.0, 2.0]))
+        assert not np.array_equal(permuted.factorization().perm, [0, 1])
+        singular = GramMatrix(PointSet((0, 1)), np.ones((2, 2)))
+        assert isinstance(singular.pd(), SemiDefinite)
+        for prev in (unfactored, permuted, singular):
+            gram = GramMatrix(PointSet((0, 1, 2)), np.pad(prev.matrix, (0, 1)) + np.diag([0, 0, 3.0]))
+            assert not gram.border(prev)
+
+    def test_falls_back_on_small_pivot(self):
+        # the new point nearly repeats the first: its pivot is below threshold
+        matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        gram = GramMatrix(PointSet((0, 1)), matrix)
+        assert not gram.border(None)
+        assert isinstance(gram.pd(), SemiDefinite)
+
+    def test_falls_back_on_indefinite_block(self):
+        gram = GramMatrix(PointSet((0, 1)), [[1.0, 2.0], [2.0, 1.0]])
+        assert not gram.border(None)
+        assert isinstance(gram.pd(), NotPSD)
+
+
 class TestCoefficientVector:
     def test_length_checked(self):
         with pytest.raises(ValueError):

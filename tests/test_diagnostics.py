@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rkhskit.core as core
 from rkhskit import (
     BinomialKernel,
     BrownianKernel,
@@ -13,13 +14,16 @@ from rkhskit import (
     Inconclusive,
     Kernel,
     MonotonicityViolation,
+    NotPositiveSemidefinite,
     PointSet,
     SingularGram,
     Stabilized,
     TableKernel,
     TooFewStages,
+    assemble_gram,
     classify,
     det_ratio_trace,
+    projection_norm_sq,
     trace,
 )
 
@@ -77,6 +81,38 @@ class TestTrace:
         kernel = ShrinkingKernel()
         with pytest.raises(MonotonicityViolation):
             trace(kernel, Filtration.prefixes([0, 1, 2]))
+
+    def test_semidefinite_stage_mid_filtration(self):
+        # stage 3 repeats the section at 1: its bordered pivot is zero, so the
+        # pivoted factorization and its semidefinite solve take that stage
+        kernel = TableKernel((0, 1, 2), [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
+        tr = trace(kernel, Filtration.prefixes((0, 1, 2), target=0))
+        np.testing.assert_allclose(tr.values, [1.0, 1.0, 1.0], rtol=1e-12)
+
+    def test_indefinite_stage_reports_witness(self):
+        kernel = TableKernel((0, 1, 2), [[1, 0, 0], [0, 1, 2], [0, 2, 1]])
+        with pytest.raises(NotPositiveSemidefinite) as info:
+            trace(kernel, Filtration.prefixes((0, 1, 2), target=0))
+        assert info.value.witness == 2
+
+    def test_pd_stages_make_no_pivoted_factorizations(self, monkeypatch):
+        calls = []
+        original = core._pivoted_cholesky
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(core, "_pivoted_cholesky", counting)
+        rng = np.random.default_rng(60)
+        pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 60)))]
+        kernel, filtration = BrownianKernel(), Filtration.prefixes(pts, target=pts[0])
+        trace(kernel, filtration)
+        det_ratio_trace(kernel, filtration)
+        assert calls == []
+        # a stage assembled on its own still takes the pivoted path
+        projection_norm_sq(assemble_gram(kernel, filtration.stages[-1]), pts[0])
+        assert calls == [60]
 
 
 class TestClassify:

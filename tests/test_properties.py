@@ -38,6 +38,25 @@ def test_trace_monotone_on_random_pd_kernels(seed, n):
 
 
 @SETTINGS
+@given(
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=2, max_value=8),
+    st.sampled_from([Filtration.prefixes, Filtration.doubling]),
+)
+def test_bordered_trace_matches_fresh_stage_solves(seed, n, build):
+    kernel = pd_table(seed, n)
+    target = seed % n
+    filtration = build(tuple(range(n)), target=target)
+    tr = trace(kernel, filtration)
+    fresh = [
+        projection_norm_sq(assemble_gram(kernel, stage), target)
+        for stage in filtration.stages
+        if target in stage
+    ]
+    np.testing.assert_allclose(tr.values, fresh, rtol=1e-9, atol=0)
+
+
+@SETTINGS
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=2, max_value=8))
 def test_dual_basis_biorthogonality(seed, n):
     kernel = pd_table(seed, n)

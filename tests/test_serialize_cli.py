@@ -1,5 +1,6 @@
 """Interchange formats and the command-line front door."""
 
+import csv
 import io
 import json
 
@@ -9,10 +10,12 @@ import pytest
 import rkhskit.cli as cli
 from rkhskit import (
     BrownianKernel,
+    LevelWeights,
     MonotonicityViolation,
     Network,
     TableKernel,
     assemble_gram,
+    build_tree,
 )
 from rkhskit.serialize import (
     fmt,
@@ -86,6 +89,14 @@ class TestMatrixCSV:
         with pytest.raises(ValueError):
             read_matrix_csv(io.StringIO(""))
 
+    def test_tuple_labels_round_trip_as_json_arrays(self):
+        buf = io.StringIO()
+        write_matrix_csv(buf, [(), (0,), (0, 1)], np.eye(3))
+        assert buf.getvalue().splitlines()[0] == '[],[0],"[0, 1]"'
+        labels, matrix = read_matrix_csv(io.StringIO(buf.getvalue()))
+        assert labels == [(), (0,), (0, 1)]
+        assert np.array_equal(matrix, np.eye(3))
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -95,6 +106,13 @@ def run_cli(*argv):
 def brownian_doc(tmp_path):
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps({"kernel": {"type": "brownian"}, "points": list(range(1, 11))}))
+    return str(path)
+
+
+@pytest.fixture
+def tree_doc(tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(build_tree(2, LevelWeights.geometric(0.5)).to_json()))
     return str(path)
 
 
@@ -172,6 +190,37 @@ class TestDiagnoseCommand:
         monkeypatch.setattr(cli, "trace", boom)
         assert run_cli("diagnose", "--input", brownian_doc) == 2
 
+    def test_type_error_is_input_error(self, brownian_doc, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise TypeError("unsupported label")
+
+        monkeypatch.setattr(cli, "trace", boom)
+        assert run_cli("diagnose", "--input", brownian_doc) == 1
+        assert "unsupported label" in capsys.readouterr().err
+
+    def test_det_ratio_unavailable_gives_reason(self, tmp_path):
+        # stage 3 is semidefinite: the trace exists, the determinant ratio does not
+        doc = tmp_path / "semi.json"
+        table = {"type": "table", "labels": [0, 1, 2], "entries": [[1, 0, 0], [0, 1, 1], [0, 1, 1]]}
+        doc.write_text(json.dumps({"kernel": table, "points": [0, 1, 2]}))
+        out = tmp_path / "trace.csv"
+        code = run_cli("diagnose", "--input", str(doc), "--target", "0", "--k", "2", "--out", str(out))
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        rows = list(csv.reader(lines[1:-1]))
+        assert [row[2] for row in rows] == ["1", "1", "1"]
+        assert [row[3] for row in rows] == ["", "", ""]
+        verdict = json.loads(lines[-1])
+        assert verdict["verdict"] == "Stabilized"
+        assert "strictly PD" in verdict["det_ratio_unavailable"]
+
+    def test_no_reason_when_det_ratios_present(self, brownian_doc, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert run_cli("diagnose", "--input", brownian_doc, "--out", str(out)) == 0
+        lines = out.read_text().strip().splitlines()
+        assert all(row[3] for row in csv.reader(lines[1:-1]))
+        assert "det_ratio_unavailable" not in json.loads(lines[-1])
+
 
 class TestKernelCommands:
     def test_eval_brownian(self, brownian_doc, capsys):
@@ -228,6 +277,20 @@ class TestNetworkCommands:
     def test_delta_norm(self, network_doc, capsys):
         assert run_cli("network", "delta-norm", "--network", network_doc, "--x", "2.0") == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("network", "green"), ("network", "resistance"), ("gff", "sample", "--n", "20")],
+        ids=["green", "resistance", "gff-sample"],
+    )
+    def test_tree_word_labels(self, tree_doc, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--network", tree_doc, "--out", str(out)) == 0
+        with open(out) as fh:
+            labels, matrix = read_matrix_csv(fh)
+        words = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert labels == (words if argv[0] == "gff" or argv[1] == "green" else [()] + words)
+        assert matrix.shape[1] == len(labels)
 
 
 class TestGFFCommands:
