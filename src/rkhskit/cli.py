@@ -11,6 +11,7 @@ reproduction check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -49,10 +50,14 @@ def _opt(args, config: dict, name: str, default):
     return config.get(name, default)
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """Yield stdout for ``None`` or ``-``, else a file closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _verdict_doc(verdict) -> dict:
@@ -78,16 +83,12 @@ def _cmd_kernel_eval(args, config) -> int:
 
 def _cmd_kernel_gram(args, config) -> int:
     kernel, points = load_kernel_doc(_load_json(args.input))
-    out, close = _open_out(_opt(args, config, "out", None))
-    try:
+    with _output(_opt(args, config, "out", None)) as out:
         exact = kernel.exact_gram(points.labels)
         if exact is not None:
             write_matrix_csv(out, points.labels, exact)
         else:
             write_matrix_csv(out, points.labels, assemble_gram(kernel, points).matrix)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -122,8 +123,7 @@ def _cmd_diagnose(args, config) -> int:
         tau_div=float(_opt(args, config, "tau-div", 1e-3)),
         k=int(_opt(args, config, "k", 5)),
     )
-    out, close = _open_out(_opt(args, config, "out", None))
-    try:
+    with _output(_opt(args, config, "out", None)) as out:
         writer = csv.writer(out)
         writer.writerow(["stage_index", "stage_size", "zeta_value", "det_ratio", "increment"])
         prev = None
@@ -144,9 +144,6 @@ def _cmd_diagnose(args, config) -> int:
         if ratio_error is not None:
             doc["det_ratio_unavailable"] = ratio_error
         out.write(json.dumps(doc, sort_keys=True) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -154,12 +151,8 @@ def _cmd_network(args, config) -> int:
     net = Network.from_json(_load_json(args.network))
     if args.network_cmd == "green":
         kernel = green_kernel(net)
-        out, close = _open_out(_opt(args, config, "out", None))
-        try:
+        with _output(_opt(args, config, "out", None)) as out:
             write_matrix_csv(out, kernel.points.labels, net.green_matrix())
-        finally:
-            if close:
-                out.close()
         return EXIT_OK
     if args.network_cmd == "resistance":
         if args.x is not None and args.y is not None:
@@ -167,12 +160,8 @@ def _cmd_network(args, config) -> int:
             return EXIT_OK
         labels = net.vertices.labels
         matrix = [[resistance(net, a, b) for b in labels] for a in labels]
-        out, close = _open_out(_opt(args, config, "out", None))
-        try:
+        with _output(_opt(args, config, "out", None)) as out:
             write_matrix_csv(out, labels, matrix)
-        finally:
-            if close:
-                out.close()
         return EXIT_OK
     # delta-norm
     if args.x is None:
@@ -187,20 +176,15 @@ def _cmd_gff(args, config) -> int:
     gram = assemble_gram(kernel, kernel.points)
     n = int(_opt(args, config, "n", 1000))
     seed = int(_opt(args, config, "seed", DEFAULT_SEED))
-    draws = gff.sample(gram, n, seed, workers=int(_opt(args, config, "workers", 1)))
+    draws = gff.sample(gram, n, seed)
     if args.gff_cmd == "sample":
-        out, close = _open_out(_opt(args, config, "out", None))
-        try:
+        with _output(_opt(args, config, "out", None)) as out:
             write_matrix_csv(out, gram.points.labels, draws.samples)
-        finally:
-            if close:
-                out.close()
         return EXIT_OK
     emp = gff.empirical_covariance(draws)
     se = gff.covariance_standard_error(gram, n)
     worst = float(np.max(np.abs(emp - gram.matrix) / se))
-    out, close = _open_out(_opt(args, config, "out", None))
-    try:
+    with _output(_opt(args, config, "out", None)) as out:
         write_matrix_csv(out, gram.points.labels, emp)
         out.write(
             json.dumps(
@@ -209,9 +193,6 @@ def _cmd_gff(args, config) -> int:
             )
             + "\n"
         )
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -220,8 +201,7 @@ def _cmd_tree(args, config) -> int:
     depth = int(_opt(args, config, "depth", 10))
     if args.tree_cmd == "histogram":
         rows = energy_histogram(depth, weights)
-        out, close = _open_out(_opt(args, config, "out", None))
-        try:
+        with _output(_opt(args, config, "out", None)) as out:
             writer = csv.writer(out)
             writer.writerow(["level", "energy", "multiplicity", "uses_level0_convention"])
             for row in rows:
@@ -233,9 +213,6 @@ def _cmd_tree(args, config) -> int:
                 )
                 + "\n"
             )
-        finally:
-            if close:
-                out.close()
         return EXIT_OK
     w1, w2 = parse_word(args.w1), parse_word(args.w2)
     br = boundary_resistance(w1, w2, weights)
@@ -281,14 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     kernel = sub.add_parser("kernel", help="evaluate a kernel or export its Gram matrix")
     ksub = kernel.add_subparsers(dest="kernel_cmd", required=True)
     keval = ksub.add_parser("eval")
+    keval.set_defaults(func=_cmd_kernel_eval)
     keval.add_argument("--input", required=True, help="kernel document (JSON)")
     keval.add_argument("--x", required=True)
     keval.add_argument("--y", required=True)
     kgram = ksub.add_parser("gram")
+    kgram.set_defaults(func=_cmd_kernel_gram)
     kgram.add_argument("--input", required=True)
     kgram.add_argument("--out")
 
     diag = sub.add_parser("diagnose", help="trace point-mass projection norms over a filtration")
+    diag.set_defaults(func=_cmd_diagnose)
     diag.add_argument("--input", required=True, help="kernel document (JSON)")
     diag.add_argument("--target", help="target point (JSON literal); default: first point")
     diag.add_argument("--stages", choices=["prefix", "doubling"])
@@ -301,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     nsub = network.add_subparsers(dest="network_cmd", required=True)
     for name in ("green", "resistance", "delta-norm"):
         p = nsub.add_parser(name)
+        p.set_defaults(func=_cmd_network)
         p.add_argument("--network", required=True, help="network document (JSON)")
         p.add_argument("--out")
         if name != "green":
@@ -311,24 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = gffp.add_subparsers(dest="gff_cmd", required=True)
     for name in ("sample", "check"):
         p = gsub.add_parser(name)
+        p.set_defaults(func=_cmd_gff)
         p.add_argument("--network", required=True)
         p.add_argument("--n", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
         p.add_argument("--out")
 
     treep = sub.add_parser("tree", help="dyadic tree energies and boundary resistances")
     tsub = treep.add_subparsers(dest="tree_cmd", required=True)
     thist = tsub.add_parser("histogram")
+    thist.set_defaults(func=_cmd_tree)
     thist.add_argument("--depth", type=int)
     thist.add_argument("--weights")
     thist.add_argument("--out")
     tres = tsub.add_parser("resistance")
+    tres.set_defaults(func=_cmd_tree)
     tres.add_argument("--weights")
     tres.add_argument("--w1", required=True, help="0/1 word, e.g. 0010")
     tres.add_argument("--w2", required=True)
 
     rep = sub.add_parser("reproduce", help="run a named reproduction suite")
+    rep.set_defaults(func=_cmd_reproduce)
     rep.add_argument("name")
     rep.add_argument("--depth", type=int)
     rep.add_argument("--n", type=int)
@@ -347,16 +331,8 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as err:
             print(f"error: cannot read config: {err}", file=sys.stderr)
             return EXIT_INPUT
-    handlers = {
-        "kernel": lambda: _cmd_kernel_eval(args, config) if args.kernel_cmd == "eval" else _cmd_kernel_gram(args, config),
-        "diagnose": lambda: _cmd_diagnose(args, config),
-        "network": lambda: _cmd_network(args, config),
-        "gff": lambda: _cmd_gff(args, config),
-        "tree": lambda: _cmd_tree(args, config),
-        "reproduce": lambda: _cmd_reproduce(args, config),
-    }
     try:
-        return handlers[args.cmd]()
+        return args.func(args, config)
     except MonotonicityViolation as err:
         print(f"numerical breakdown: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

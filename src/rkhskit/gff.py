@@ -2,13 +2,12 @@
 
 Draw i, component j is a pure function of (seed, i, j): each draw row owns a
 counter-based Philox stream at offset i * 2^64, consumed as uniforms and
-pushed through the inverse normal CDF.  Chunking rows across threads can
-therefore never change the output.
+pushed through the inverse normal CDF.  A longer run therefore starts with
+the draws of a shorter one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ from scipy.special import ndtri
 from .core import GramMatrix, NotPSD, PointSet, _unpermuted_factor
 from .errors import MissingNeighbor, NotPositiveSemidefinite
 from .network import Network, resistance
-
-_ROW_BLOCK = 8192
 
 
 def _uniform_rows(seed: int, start: int, stop: int, cols: int) -> np.ndarray:
@@ -58,12 +55,12 @@ class GFFSampleSet:
         return self.samples[:, self.points.index(label)]
 
 
-def sample(gram: GramMatrix, n: int, seed: int, workers: int = 1) -> GFFSampleSet:
+def sample(gram: GramMatrix, n: int, seed: int) -> GFFSampleSet:
     """Draw ``n`` joint Gaussians with covariance ``gram``.
 
     Rank-deficient covariances are sampled in their numerical column span via
     the truncated pivoted factor.  Identical (gram, n, seed) gives bit-exact
-    identical output for any ``workers``.
+    identical output.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -72,14 +69,7 @@ def sample(gram: GramMatrix, n: int, seed: int, workers: int = 1) -> GFFSampleSe
         raise NotPositiveSemidefinite(fact.status.witness)
     lo = _unpermuted_factor(fact)
     rank = lo.shape[1]
-    blocks = [(s, min(s + _ROW_BLOCK, n)) for s in range(0, n, _ROW_BLOCK)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _normal_rows(seed, b[0], b[1], rank), blocks))
-    else:
-        parts = [_normal_rows(seed, a, b, rank) for a, b in blocks]
-    z = np.vstack(parts)
-    draws = z @ lo.T
+    draws = _normal_rows(seed, 0, n, rank) @ lo.T
     return GFFSampleSet(points=gram.points, samples=draws, seed=seed, covariance=gram)
 
 

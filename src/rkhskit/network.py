@@ -14,17 +14,11 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .core import Kernel, PointSet
 from .errors import Disconnected
-
-# Grounded systems up to this many unknowns get one cached dense Cholesky;
-# larger ones fall back to conjugate gradients with a diagonal preconditioner.
-DENSE_LIMIT = 4096
-CG_RTOL = 1e-13
 
 # Residual contract for dipole solves, relative to the pole's conductance.
 DIPOLE_RTOL = 1e-9
@@ -35,8 +29,9 @@ class Network:
 
     Edges are undirected, stored once, with strictly positive conductances;
     self-loops and duplicates are rejected.  Instances are immutable after
-    construction and safe to share across threads; the grounded factorization
-    and the Green matrix are each computed once under a lock.
+    construction and safe to share across threads; the sparse LU factor of the
+    grounded Laplacian and the Green matrix are each computed once under a
+    lock.
     """
 
     def __init__(self, vertices, base, edges):
@@ -64,11 +59,16 @@ class Network:
         self.vertices = pts
         self.base = base
         self.edges = tuple(norm_edges)
+        # endpoint indices (one row per edge) and conductances, in edge order
+        self._ends = np.array(
+            [(pts.index(u), pts.index(v)) for u, v, _ in norm_edges], dtype=np.intp
+        ).reshape(-1, 2)
+        self._cond = np.array([c for _, _, c in norm_edges], dtype=float)
         self._adjacency = {v: tuple(nbrs) for v, nbrs in adjacency.items()}
         self._check_connected()
         # reentrant: building the Green matrix solves through the same guard
         self._lock = threading.RLock()
-        self._grounded = None       # cached dense Cholesky or sparse operator
+        self._grounded = None       # cached sparse LU of the grounded Laplacian
         self._green = None          # cached Green matrix over V \ {base}
 
     def _check_connected(self):
@@ -108,20 +108,9 @@ class Network:
     def grounded_vertices(self) -> PointSet:
         return PointSet(tuple(v for v in self.vertices if v != self.base))
 
-    def laplacian_matrix(self) -> np.ndarray:
-        n = len(self.vertices)
-        lap = np.zeros((n, n))
-        for u, v, c in self.edges:
-            iu, iv = self.index(u), self.index(v)
-            lap[iu, iu] += c
-            lap[iv, iv] += c
-            lap[iu, iv] -= c
-            lap[iv, iu] -= c
-        return lap
-
-    def _grounded_indices(self):
-        ib = self.index(self.base)
-        return [i for i in range(len(self.vertices)) if i != ib]
+    def _grounded_indices(self) -> np.ndarray:
+        """Vertex indices of V \\ {base}, in grounded-vertex order."""
+        return np.delete(np.arange(len(self.vertices)), self.index(self.base))
 
     def _grounded_system(self):
         ground = self._grounded
@@ -129,50 +118,25 @@ class Network:
             with self._lock:
                 ground = self._grounded
                 if ground is None:
+                    n = len(self.vertices)
+                    u, v = self._ends.T
+                    c = self._cond
+                    lap = scipy.sparse.csc_matrix(
+                        (np.concatenate([c, c, -c, -c]),
+                         (np.concatenate([u, v, u, v]), np.concatenate([u, v, v, u]))),
+                        shape=(n, n),
+                    )
                     keep = self._grounded_indices()
-                    m = len(keep)
-                    if m <= DENSE_LIMIT:
-                        lap = self.laplacian_matrix()[np.ix_(keep, keep)]
-                        try:
-                            ground = ("dense", scipy.linalg.cho_factor(lap))
-                        except np.linalg.LinAlgError as err:  # pragma: no cover
-                            raise Disconnected(f"grounded system is singular: {err}") from err
-                    else:
-                        rows, cols, vals = [], [], []
-                        pos = {k: i for i, k in enumerate(keep)}
-                        for u, v, c in self.edges:
-                            iu, iv = self.index(u), self.index(v)
-                            for i in (iu, iv):
-                                if i in pos:
-                                    rows.append(pos[i]); cols.append(pos[i]); vals.append(c)
-                            if iu in pos and iv in pos:
-                                rows.append(pos[iu]); cols.append(pos[iv]); vals.append(-c)
-                                rows.append(pos[iv]); cols.append(pos[iu]); vals.append(-c)
-                        lap = scipy.sparse.csr_matrix(
-                            (vals, (rows, cols)), shape=(m, m)
-                        )
-                        ground = ("sparse", lap)
+                    try:
+                        ground = scipy.sparse.linalg.splu(lap[keep][:, keep].tocsc())
+                    except RuntimeError as err:  # pragma: no cover
+                        raise Disconnected(f"grounded system is singular: {err}") from err
                     self._grounded = ground
         return ground
 
     def grounded_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the base-deleted Laplacian system for one or more columns."""
-        kind, data = self._grounded_system()
-        if kind == "dense":
-            return scipy.linalg.cho_solve(data, rhs)
-        diag = data.diagonal()
-        precond = scipy.sparse.diags(1.0 / diag)
-        if rhs.ndim == 1:
-            cols = [rhs]
-        else:
-            cols = rhs.T
-        out = []
-        for col in cols:
-            sol, info = scipy.sparse.linalg.cg(data, col, rtol=CG_RTOL, atol=0.0, M=precond)
-            if info != 0:
-                raise Disconnected(f"conjugate gradients failed to converge (info={info})")
-            out.append(sol)
-        return out[0] if rhs.ndim == 1 else np.array(out).T
+        return self._grounded_system().solve(rhs)
 
     def green_matrix(self) -> np.ndarray:
         """Inverse of the grounded Laplacian: entries k(x, y) over V \\ {base}.
@@ -240,12 +204,11 @@ def laplacian_apply(net: Network, values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (len(net.vertices),):
         raise ValueError("function values must align with the vertex order")
+    u, v = net._ends.T
+    d = net._cond * (f[u] - f[v])
     out = np.zeros_like(f)
-    for u, v, c in net.edges:
-        iu, iv = net.index(u), net.index(v)
-        d = c * (f[iu] - f[iv])
-        out[iu] += d
-        out[iv] -= d
+    np.add.at(out, u, d)
+    np.subtract.at(out, v, d)
     return out
 
 
@@ -253,11 +216,8 @@ def energy_inner(net: Network, f, g) -> float:
     """Conductance-weighted Dirichlet inner product over the edges."""
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
-    total = 0.0
-    for u, v, c in net.edges:
-        iu, iv = net.index(u), net.index(v)
-        total += c * (fv[iu] - fv[iv]) * (gv[iu] - gv[iv])
-    return total
+    u, v = net._ends.T
+    return float(np.sum(net._cond * (fv[u] - fv[v]) * (gv[u] - gv[v])))
 
 
 @dataclass(frozen=True)
@@ -282,18 +242,15 @@ def dipole(net: Network, x) -> Dipole:
     gi = grounded.index(x)
     rhs = np.zeros(len(grounded))
     rhs[gi] = 1.0
-    sol = net.grounded_solve(rhs)
+    keep = net._grounded_indices()
     values = np.zeros(len(net.vertices))
-    for j, v in enumerate(grounded):
-        values[net.index(v)] = sol[j]
+    values[keep] = net.grounded_solve(rhs)
     # contract: applying the Laplacian returns the dipole source pattern
     resid = laplacian_apply(net, values)
     resid[net.index(x)] -= 1.0
     resid[net.index(net.base)] += 1.0
     if float(np.abs(resid).max()) > DIPOLE_RTOL * net.total_conductance(x):
-        correction = net.grounded_solve(-resid[[net.index(v) for v in grounded]])
-        for j, v in enumerate(grounded):
-            values[net.index(v)] += correction[j]
+        values[keep] += net.grounded_solve(-resid[keep])
     return Dipole(pole=x, values=values)
 
 

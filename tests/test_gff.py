@@ -40,11 +40,6 @@ class TestDeterminism:
         b = sample(path_gram, 500, 43)
         assert not np.array_equal(a.samples, b.samples)
 
-    def test_worker_count_does_not_change_output(self, path_gram):
-        a = sample(path_gram, 20000, 7, workers=1)
-        b = sample(path_gram, 20000, 7, workers=4)
-        assert np.array_equal(a.samples, b.samples)
-
     def test_prefix_property_of_row_streams(self, path_gram):
         # draw i is a pure function of (seed, i): a longer run starts with the
         # shorter one

@@ -9,9 +9,11 @@ from rkhskit import (
     BridgeKernel,
     BrownianKernel,
     Disconnected,
+    LevelWeights,
     Network,
     StrictlyPD,
     assemble_gram,
+    build_tree,
     check_pd,
     delta_expand,
     delta_norm_sq,
@@ -88,6 +90,17 @@ class TestLaplacian:
         total = laplacian_apply(net, f).sum()
         assert abs(total) <= 1e-10 * np.abs(f).max()
 
+    def test_matches_edge_loop_reference(self):
+        rng = np.random.default_rng(23)
+        net = random_connected_network(rng, 30, extra_edges=40)
+        f = rng.normal(size=30)
+        ref = np.zeros(30)
+        for u, v, c in net.edges:
+            d = c * (f[net.index(u)] - f[net.index(v)])
+            ref[net.index(u)] += d
+            ref[net.index(v)] -= d
+        np.testing.assert_allclose(laplacian_apply(net, f), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
 
 class TestEnergyInner:
     def test_constant_has_zero_energy(self, path_oab):
@@ -108,6 +121,16 @@ class TestEnergyInner:
                 v = dipole(net, x)
                 got = energy_inner(net, v.values, f)
                 assert got == pytest.approx(f[net.index(x)], abs=1e-9)
+
+    def test_matches_edge_loop_reference(self):
+        rng = np.random.default_rng(24)
+        net = random_connected_network(rng, 30, extra_edges=40)
+        f, g = rng.normal(size=30), rng.normal(size=30)
+        ref = 0.0
+        for u, v, c in net.edges:
+            iu, iv = net.index(u), net.index(v)
+            ref += c * (f[iu] - f[iv]) * (g[iu] - g[iv])
+        assert energy_inner(net, f, g) == pytest.approx(ref, rel=1e-12)
 
 
 class TestDipole:
@@ -360,12 +383,60 @@ class TestConcurrency:
         for a, b in zip(forward, reversed(backward)):
             np.testing.assert_array_equal(a, b)
 
+    def test_concurrent_grounded_solves_match_serial_bit_for_bit(self):
+        import threading
+
+        rng = np.random.default_rng(22)
+        serial_net = random_connected_network(rng, 200, extra_edges=150)
+        shared = Network.from_json(serial_net.to_json())
+        m = len(serial_net) - 1
+        blocks = [rng.normal(size=(m, 3)) for _ in range(4)]
+        cols = [rng.normal(size=m) for _ in range(4)]
+        expected = [
+            (serial_net.grounded_solve(b), serial_net.grounded_solve(c)) for b, c in zip(blocks, cols)
+        ]
+        results = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def work(i):
+            barrier.wait()
+            results[i] = (shared.grounded_solve(blocks[i]), shared.grounded_solve(cols[i]))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
 
 class TestSparsePath:
-    def test_large_path_uses_cg_and_matches_distance(self):
-        n = 4500  # beyond the dense cutoff
+    def test_large_path_matches_distance(self):
+        n = 4500  # a long path: 4500 grounded unknowns
         pts = [float(i) for i in range(1, n + 1)]
         net = Network.coordinate_path(pts)
         assert resistance(net, 10.0, 1510.0) == pytest.approx(1500.0, rel=1e-8)
         assert resistance(net, 0.0, 3.0) == pytest.approx(3.0, rel=1e-8)
         assert delta_norm_sq(net, 7.0) == pytest.approx(2.0)
+
+
+class TestDeepTree:
+    def test_depth_11_leaf_resistances_match_series(self):
+        # tree paths are series circuits: the meet level up to the leaves,
+        # on both sides, with r(n) = 2^-n
+        depth = 11
+        net = build_tree(depth, LevelWeights.geometric(0.5))
+        rng = np.random.default_rng(1111)
+        pairs = 0
+        while pairs < 50:
+            w1, w2 = (tuple(int(b) for b in rng.integers(0, 2, depth)) for _ in range(2))
+            if w1 == w2:
+                continue
+            meet = next(n for n in range(depth) if w1[n] != w2[n])
+            series = 2.0 * sum(0.5 ** n for n in range(meet, depth))
+            got = resistance(net, w1, w2)
+            assert abs(got - series) <= 1e-9 * (1.0 + series), (w1, w2, got, series)
+            pairs += 1
