@@ -85,9 +85,12 @@ class BridgeKernel(Kernel):
 
 
 def binomial_eval(x: int, y: int) -> int:
-    """Exact integer kernel value sum_{n=0}^{min(x,y)} C(x,n) C(y,n)."""
+    """Exact integer kernel value sum_{n=0}^{min(x,y)} C(x,n) C(y,n).
+
+    By the Chu-Vandermonde identity the sum is C(x + y, x).
+    """
     x, y = int(x), int(y)
-    return sum(math.comb(x, n) * math.comb(y, n) for n in range(min(x, y) + 1))
+    return math.comb(x + y, x)
 
 
 def binomial_basis_eval(n: int, x: int) -> int:

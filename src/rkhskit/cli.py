@@ -158,10 +158,14 @@ def _cmd_network(args, config) -> int:
         if args.x is not None and args.y is not None:
             print(fmt(resistance(net, json.loads(args.x), json.loads(args.y))))
             return EXIT_OK
-        labels = net.vertices.labels
-        matrix = [[resistance(net, a, b) for b in labels] for a in labels]
+        # R_xy = G_xx + G_yy - 2 G_xy with G zero on the base's row and
+        # column; summed in pairs so R is exactly symmetric, zero on the diagonal
+        base = net.index(net.base)
+        green = np.insert(np.insert(net.green_matrix(), base, 0.0, axis=0), base, 0.0, axis=1)
+        diag = np.diag(green)
+        matrix = (diag[:, None] + diag[None, :]) - (green + green.T)
         with _output(_opt(args, config, "out", None)) as out:
-            write_matrix_csv(out, labels, matrix)
+            write_matrix_csv(out, net.vertices.labels, matrix)
         return EXIT_OK
     # delta-norm
     if args.x is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -145,12 +146,22 @@ def _assemble_bordered(kernel: Kernel, points, prev):
     return gram
 
 
+def _exact_last_stage(filtration: Filtration, kernel: Kernel):
+    """Exact Gram of the last stage and the target's index in it; every
+    stage is a leading block of this matrix."""
+    last = filtration.stages[-1]
+    return kernel.exact_gram(last.labels), last.index(filtration.target)
+
+
 def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     """Projection norms of the target over every stage containing it.
 
     Kernels with an exact integer path are solved in rational arithmetic, so
-    their traces carry no rounding at all.  Float stages are not factored
-    afresh: each reported stage borders the factor of the one before it
+    their traces carry no rounding at all: one fraction-free elimination of
+    the last stage (:func:`exact.leading_minors`) gives every stage's value
+    as a running sum of exact increments.  A zero leading minor raises
+    :class:`SingularGram`.  Float stages are not factored afresh: each
+    reported stage borders the factor of the one before it
     (:meth:`GramMatrix.border`), falling back to the pivoted factorization
     where bordering does not apply.  A float value therefore depends on the
     stages before it through rounding, within the solve's residual contract,
@@ -159,11 +170,18 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     target = filtration.target
     indices, sizes, values = [], [], []
     exact_values: list | None = [] if kernel.is_exact else None
+    if exact_values is not None:
+        matrix, t = _exact_last_stage(filtration, kernel)
+        minors, column = exact.leading_minors(matrix, t)
+        dets = [1] + minors       # dets[m] = det of the first m points
+        norms, acc = {}, Fraction(0)
+        for k in range(t, len(minors)):
+            acc += Fraction(column[k] ** 2, dets[k] * dets[k + 1])
+            norms[k + 1] = acc
     gram = None
     for pos, stage in _reported_stages(filtration):
         if exact_values is not None:
-            matrix = kernel.exact_gram(stage.labels)
-            val = exact.exact_projection_norm(matrix, stage.index(target))
+            val = norms[len(stage)]
             exact_values.append(val)
             values.append(float(val))
         else:
@@ -187,18 +205,22 @@ def det_ratio_trace(kernel: Kernel, filtration: Filtration) -> np.ndarray:
     For strictly positive-definite stages, det(target-deleted minor) / det(K)
     equals the projection norm; computed here entirely from determinants so it
     stays an independent cross-check of :func:`trace`.  The stages and their
-    target-deleted minors form two nested families, each grown as its own
-    bordered factor.
+    target-deleted minors form two nested families.  On the exact path each
+    family's determinants are the leading minors of one elimination; on the
+    float path each family is grown as its own bordered factor.
     """
     target = filtration.target
+    if kernel.is_exact:
+        matrix, t = _exact_last_stage(filtration, kernel)
+        keep = [i for i in range(len(matrix)) if i != t]
+        dets = [1] + exact.leading_minors(matrix)[0]
+        rest = [1] + exact.leading_minors([[matrix[i][j] for j in keep] for i in keep])[0]
+        # a stage of m points has its target-deleted minor on the first m - 1 others
+        sizes = [len(stage) for _, stage in _reported_stages(filtration)]
+        return np.asarray([float(Fraction(rest[m - 1], dets[m])) for m in sizes], dtype=float)
     ratios = []
     full = minor = None
     for _, stage in _reported_stages(filtration):
-        ti = stage.index(target)
-        if kernel.is_exact:
-            matrix = kernel.exact_gram(stage.labels)
-            ratios.append(float(exact.exact_det_ratio(matrix, ti)))
-            continue
         full = _assemble_bordered(kernel, stage, full)
         ld_full = log_det(full)
         rest = [x for x in stage if x != target]

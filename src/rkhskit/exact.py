@@ -1,90 +1,57 @@
 """Exact linear algebra over the integers and rationals.
 
 Used for kernels whose Gram matrices are integer-valued (the binomial
-kernel): projection norms and determinant ratios are computed without any
-floating-point rounding, via fraction-free (Bareiss) elimination.
+kernel).  A nested filtration needs only one fraction-free (Bareiss)
+elimination of its last stage, because every stage is a leading block of it:
+the elimination's pivots are the leading principal minors, so one pass yields
+the determinant of every stage, and the eliminated column of a unit vector
+yields every stage's projection norm (see :func:`leading_minors`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SingularGram
 
 
-def _eliminate(rows: list[list[int]], ncols: int):
-    """Fraction-free forward elimination in place.
+def leading_minors(matrix, target=None):
+    """Leading principal minors of a symmetric integer matrix in one pass.
 
-    ``rows`` is an n x ncols integer matrix whose left n columns are the
-    square system; extra columns ride along as right-hand sides.  Returns the
-    permutation sign.  Rows are swapped so the current diagonal entry is
-    nonzero, preferring no swap: for unit-minor matrices this keeps every
-    intermediate entry the size of a small minor.
+    Runs a no-swap Bareiss elimination of ``[K | e_target]`` (Bareiss 1968).
+    Returns ``(minors, column)``: ``minors[k] = det K[:k+1, :k+1]``, the k-th
+    pivot, and ``column[k]``, the eliminated entry of ``e_target`` in row k
+    (``None`` without a target).  With ``minors[-1]`` read as 1, the
+    projection norm of the target's point mass on the first m points is
+
+        (K_m^{-1})[t, t] = sum_{k=t}^{m-1} column[k]^2 / (minors[k-1] minors[k]),
+
+    the exact analogue of a bordered Cholesky factor's ``entry^2 / pivot``.
+
+    A zero pivot means a singular leading block.  For a positive semidefinite
+    K every larger leading block is then singular too (a null vector of the
+    block extends by zeros to one of K), so no later minor or norm exists and
+    :class:`SingularGram` is raised.
     """
-    n = len(rows)
-    sign = 1
+    n = len(matrix)
+    rows = [[int(v) for v in row] for row in matrix]
+    if target is not None:
+        for i, row in enumerate(rows):
+            row.append(1 if i == target else 0)
+    minors = []
     prev = 1
     for k in range(n):
-        if rows[k][k] == 0:
-            cand = [i for i in range(k + 1, n) if rows[i][k] != 0]
-            if not cand:
-                raise SingularGram("exact elimination hit a structurally singular matrix")
-            swap = max(cand, key=lambda i: abs(rows[i][k]))
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        akk = rows[k][k]
+        row_k = rows[k]
+        akk = row_k[k]
+        if akk == 0:
+            raise SingularGram(f"leading minor of order {k + 1} is zero: the Gram block is singular")
+        minors.append(akk)
         for i in range(k + 1, n):
-            aik = rows[i][k]
+            # Bareiss update, exact division by the previous pivot.  The
+            # trailing block stays symmetric, so only entries on or right of
+            # the diagonal (and the target column) are updated, and row i's
+            # entry in column k is read from row k.
             row_i = rows[i]
-            row_k = rows[k]
-            for j in range(k + 1, ncols):
-                # Bareiss update: division by the previous pivot is exact
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
+            aik = row_k[i]
+            row_i[i:] = [(v * akk - aik * w) // prev for v, w in zip(row_i[i:], row_k[i:])]
         prev = akk
-    return sign
-
-
-def int_det(matrix: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    rows = [list(map(int, r)) for r in matrix]
-    try:
-        sign = _eliminate(rows, n)
-    except SingularGram:
-        return 0
-    return sign * rows[n - 1][n - 1]
-
-
-def int_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Exact solution of an integer linear system as Fractions."""
-    n = len(matrix)
-    rows = [list(map(int, r)) + [int(b)] for r, b in zip(matrix, rhs)]
-    _eliminate(rows, n + 1)
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(rows[i][n])
-        for j in range(i + 1, n):
-            s -= rows[i][j] * x[j]
-        x[i] = s / rows[i][i]
-    return x
-
-
-def exact_projection_norm(matrix: list[list[int]], target_index: int) -> Fraction:
-    """Target entry of the exact solution of K zeta = delta_target."""
-    n = len(matrix)
-    rhs = [0] * n
-    rhs[target_index] = 1
-    return int_solve(matrix, rhs)[target_index]
-
-
-def exact_det_ratio(matrix: list[list[int]], target_index: int) -> Fraction:
-    """Determinant of the target-deleted minor over the full determinant."""
-    full = int_det(matrix)
-    if full == 0:
-        raise SingularGram("exact determinant is zero")
-    keep = [i for i in range(len(matrix)) if i != target_index]
-    minor = [[matrix[i][j] for j in keep] for i in keep]
-    return Fraction(int_det(minor), full)
+    column = [row[n] for row in rows] if target is not None else None
+    return minors, column

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _fractions import fraction_inverse_diagonal
 from rkhskit import (
     BinomialKernel,
     BoundaryIndex,
@@ -168,6 +169,13 @@ class TestBinomialKernel:
             for y in range(8):
                 assert binomial_eval(x, y) == binomial_eval(y, x)
 
+    def test_eval_equals_sum_of_products(self):
+        # the defining sum is the oracle for the closed form C(x + y, x)
+        for x in range(61):
+            for y in range(61):
+                expected = sum(math.comb(x, n) * math.comb(y, n) for n in range(min(x, y) + 1))
+                assert binomial_eval(x, y) == expected
+
     def test_basis_eval(self):
         assert all(binomial_basis_eval(0, x) == 1 for x in range(10))
         assert binomial_basis_eval(2, 4) == 6
@@ -217,26 +225,6 @@ class TestPascal:
                     for j in range(m, n + 1)
                 )
                 assert total == (1 if m == n else 0)
-
-
-def fraction_inverse_diagonal(matrix, index):
-    """Independent oracle: exact Gauss-Jordan inverse over Fractions."""
-    n = len(matrix)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv[index][index]
 
 
 class TestBinomialPartialNorm:

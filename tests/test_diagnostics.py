@@ -1,9 +1,14 @@
 """Filtration traces and membership classification."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import rkhskit.cli as cli
 import rkhskit.core as core
+from _fractions import fraction_det, fraction_inverse_diagonal
 from rkhskit import (
     BinomialKernel,
     BrownianKernel,
@@ -217,3 +222,58 @@ class TestDetRatioTrace:
         kernel = TableKernel((0, 1), [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularGram):
             det_ratio_trace(kernel, Filtration.prefixes((0, 1)))
+
+
+class ParityKernel(Kernel):
+    """Exact rank-2 kernel 1 + (x mod 2)(y mod 2) on the integers: positive
+    semidefinite, and singular on any three points."""
+
+    name = "parity"
+    is_exact = True
+
+    def __call__(self, x, y) -> float:
+        return float(1 + (x % 2) * (y % 2))
+
+    def exact_gram(self, labels):
+        return [[1 + (x % 2) * (y % 2) for y in labels] for x in labels]
+
+
+class TestExactRoute:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_oracles(self, data):
+        labels = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=10, unique=True))
+        n = len(labels)
+        target = labels[data.draw(st.integers(0, n - 1))]
+        sizes = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=n))) | {n})
+        filtration = Filtration(tuple(labels[:m] for m in sizes), target)
+        kernel = BinomialKernel()
+        tr = trace(kernel, filtration)
+        ratios = det_ratio_trace(kernel, filtration)
+        reported = [m for m in sizes if target in labels[:m]]
+        assert tr.stage_sizes == tuple(reported)
+        for value, ratio, m in zip(tr.exact_values, ratios, reported):
+            stage = labels[:m]
+            gram = kernel.exact_gram(stage)
+            t = stage.index(target)
+            assert value == fraction_inverse_diagonal(gram, t)
+            minor = [[row[j] for j in range(m) if j != t] for i, row in enumerate(gram) if i != t]
+            assert ratio == float(fraction_det(minor) / fraction_det(gram))
+
+    @pytest.mark.parametrize("points, target", [((1, 2, 3, 4), 1), ((1, 3, 0), 0)])
+    def test_singular_psd_gram_raises(self, points, target):
+        # 1 and 3 have the same features, so the Gram block of the first
+        # three points is singular; with (1, 3, 0) the zero leading minor
+        # comes before the target enters
+        filtration = Filtration.prefixes(points, target=target)
+        with pytest.raises(SingularGram):
+            trace(ParityKernel(), filtration)
+        with pytest.raises(SingularGram):
+            det_ratio_trace(ParityKernel(), filtration)
+
+    def test_singular_psd_gram_is_input_error_in_cli(self, tmp_path, monkeypatch, capsys):
+        doc = tmp_path / "parity.json"
+        doc.write_text(json.dumps({"kernel": {"type": "binomial"}, "points": [1, 2, 3, 4]}))
+        monkeypatch.setattr(cli, "load_kernel_doc", lambda _: (ParityKernel(), PointSet.of((1, 2, 3, 4))))
+        assert cli.main(["diagnose", "--input", str(doc), "--target", "1"]) == cli.EXIT_INPUT
+        assert "error:" in capsys.readouterr().err

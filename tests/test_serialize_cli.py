@@ -16,6 +16,7 @@ from rkhskit import (
     TableKernel,
     assemble_gram,
     build_tree,
+    resistance,
 )
 from rkhskit.serialize import (
     fmt,
@@ -273,6 +274,28 @@ class TestNetworkCommands:
             labels, matrix = read_matrix_csv(fh)
         arr = np.array(labels)
         assert np.abs(matrix - np.abs(arr[:, None] - arr[None, :])).max() <= 1e-9
+
+    @pytest.mark.parametrize("base", [0, 5])
+    def test_resistance_matrix_matches_pair_resistances(self, tmp_path, base):
+        rng = np.random.default_rng(4404)
+        edges = []
+        for v in range(16):
+            if v % 4 < 3:
+                edges.append([v, v + 1, float(rng.uniform(0.25, 4.0))])
+            if v < 12:
+                edges.append([v, v + 4, float(rng.uniform(0.25, 4.0))])
+        net = Network(list(range(16)), base, edges)
+        doc = tmp_path / "grid.json"
+        doc.write_text(json.dumps(net.to_json()))
+        out = tmp_path / "r.csv"
+        assert run_cli("network", "resistance", "--network", str(doc), "--out", str(out)) == 0
+        with open(out) as fh:
+            labels, matrix = read_matrix_csv(fh)
+        assert labels == list(range(16))
+        want = np.array([[resistance(net, x, y) for y in labels] for x in labels])
+        assert np.abs(matrix - want).max() <= 1e-12 * (1.0 + want.max())
+        assert np.array_equal(matrix, matrix.T)
+        assert not np.diag(matrix).any()
 
     def test_delta_norm(self, network_doc, capsys):
         assert run_cli("network", "delta-norm", "--network", network_doc, "--x", "2.0") == 0
