@@ -1,9 +1,16 @@
 """Seeded joint-Gaussian sampling with a prescribed kernel covariance.
 
 Draw i, component j is a pure function of (seed, i, j): each draw row owns a
-counter-based Philox stream at offset i * 2^64, consumed as uniforms and
-pushed through the inverse normal CDF.  A longer run therefore starts with
-the draws of a shorter one.
+counter-based Philox4x64-10 stream (Salmon et al., SC'11), consumed as
+uniforms and pushed through the inverse normal CDF.  A longer run therefore
+starts with the draws of a shorter one.
+
+The stream is numpy's ``Generator(Philox(key=seed, counter=i << 64))``
+computed for all rows at once: the key is ``(seed mod 2^64, seed >> 64)``,
+row i draws its block k >= 1 from the counter ``(k, i, 0, 0)``, each block
+gives 4 words, a row of ``cols`` uniforms keeps the first ``cols`` words, and
+word u becomes the double ``(u >> 11) * 2^-53``.  Seeds outside
+``[0, 2^128)`` raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,17 +25,42 @@ from .errors import MissingNeighbor, NotPositiveSemidefinite
 from .network import Network, resistance
 
 
-def _uniform_rows(seed: int, start: int, stop: int, cols: int) -> np.ndarray:
-    out = np.empty((stop - start, cols))
-    for i in range(start, stop):
-        stream = np.random.Philox(key=seed, counter=i << 64)
-        out[i - start] = np.random.Generator(stream).random(cols)
-    return out
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_MASK64 = (1 << 64) - 1
 
 
-def _normal_rows(seed: int, start: int, stop: int, cols: int) -> np.ndarray:
-    u = _uniform_rows(seed, start, stop, cols)
-    # random() can return exactly 0; keep the inverse CDF finite
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, via 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
+    cross = x_hi * m_lo
+    mid = ((x_lo * m_lo) >> np.uint64(32)) + (cross & _LO32) + x_lo * m_hi
+    hi = x_hi * m_hi + (cross >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, x * np.uint64(m)
+
+
+def _normal_rows(seed: int, n: int, cols: int) -> np.ndarray:
+    seed = int(seed)
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    blocks = -(-cols // 4)
+    shape = (n, blocks)
+    # counter words (k, i, 0, 0) for row i and block k = 1..blocks
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    x1 = np.broadcast_to(np.arange(n, dtype=np.uint64)[:, None], shape)
+    x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = seed & _MASK64, seed >> 64
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(n, 4 * blocks)[:, :cols]
+    u = (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    # a word below 2^11 gives exactly 0; keep the inverse CDF finite
     np.clip(u, 1e-300, None, out=u)
     return ndtri(u)
 
@@ -69,7 +101,7 @@ def sample(gram: GramMatrix, n: int, seed: int) -> GFFSampleSet:
         raise NotPositiveSemidefinite(fact.status.witness)
     lo = _unpermuted_factor(fact)
     rank = lo.shape[1]
-    draws = _normal_rows(seed, 0, n, rank) @ lo.T
+    draws = _normal_rows(seed, n, rank) @ lo.T
     return GFFSampleSet(points=gram.points, samples=draws, seed=seed, covariance=gram)
 
 

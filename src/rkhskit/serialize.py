@@ -90,6 +90,12 @@ def kernel_doc(kernel: Kernel, points: PointSet) -> dict:
 def write_matrix_csv(fp: TextIO, labels, matrix) -> None:
     writer = csv.writer(fp)
     writer.writerow([_label_text(x) for x in labels])
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind == "f" and matrix.ndim == 2:
+        # "%.17g" % x is format(x, ".17g"), so this writes fmt's bytes and
+        # the csv module's row end without a writer call per row
+        line = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
+        fp.writelines(line % tuple(row) for row in matrix.tolist())
+        return
     rows = matrix if not isinstance(matrix, np.ndarray) else matrix.tolist()
     for row in rows:
         writer.writerow([fmt(v) for v in row])

@@ -1,9 +1,13 @@
 """Seeded Gaussian field sampling and its empirical checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _graphs import random_connected_network
+from rkhskit import gff
 from rkhskit import (
     BrownianKernel,
     GramMatrix,
@@ -46,6 +50,40 @@ class TestDeterminism:
         a = sample(path_gram, 100, 3)
         b = sample(path_gram, 300, 3)
         assert np.array_equal(b.samples[:100], a.samples)
+
+
+def oracle_uniforms(seed, n, cols):
+    """numpy's own Philox4x64-10 stream for each row: key seed, counter i << 64."""
+    return np.array(
+        [np.random.Generator(np.random.Philox(key=seed, counter=i << 64)).random(cols) for i in range(n)]
+    )
+
+
+EDGE_SEEDS = [0, 2**64 - 1, 2**64, 2**128 - 1]
+
+
+class TestPhiloxStream:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**128 - 1)),
+        n=st.integers(1, 50),
+        cols=st.integers(1, 70),
+    )
+    def test_uniforms_equal_numpy_philox(self, seed, n, cols):
+        # with the inverse CDF replaced by the identity, _normal_rows returns
+        # its uniforms (clipped away from an exact 0)
+        with mock.patch.object(gff, "ndtri", lambda u: u):
+            got = gff._normal_rows(seed, n, cols)
+        want = np.clip(oracle_uniforms(seed, n, cols), 1e-300, None)
+        assert got.shape == (n, cols)
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_raises(self, path_gram, seed):
+        with pytest.raises(ValueError):
+            gff._normal_rows(seed, 3, 2)
+        with pytest.raises(ValueError):
+            sample(path_gram, 3, seed)
 
 
 class TestStatistics:

@@ -341,6 +341,11 @@ class TestGFFCommands:
         report = json.loads(lines[-1])
         assert report["max_deviation_in_standard_errors"] <= 5.0
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_out_of_range_exits_1(self, network_doc, seed, capsys):
+        assert run_cli("gff", "sample", "--network", network_doc, "--seed", seed) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_config_file_supplies_defaults_flags_win(self, network_doc, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 50, "seed": 1}))
