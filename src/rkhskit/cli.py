@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, is_dataclass
@@ -114,7 +115,7 @@ def _cmd_diagnose(args, config) -> int:
     tr = trace(kernel, filtration)
     ratios, ratio_error = None, None
     try:
-        ratios = det_ratio_trace(kernel, filtration)
+        ratios = det_ratio_trace(kernel, filtration, tr.minors)
     except RKHSKitError as err:
         ratio_error = str(err)  # rank-deficient stages have no determinant ratio
     verdict = classify(
@@ -325,9 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parsing leaves it unchanged,
+    # so one parser serves every later call in the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     config = {}
     if args.config:
         try:

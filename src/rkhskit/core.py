@@ -82,7 +82,12 @@ class PointSet:
             raise ValueError(f"point {label!r} is not in the set") from None
 
     def prefix(self, n: int) -> "PointSet":
-        return PointSet(self.labels[:n])
+        # the labels are already canonical and distinct
+        labels = self.labels[:n]
+        out = object.__new__(PointSet)
+        object.__setattr__(out, "labels", labels)
+        object.__setattr__(out, "_index", dict(zip(labels, range(len(labels)))))
+        return out
 
 
 class Kernel:
@@ -100,7 +105,13 @@ class Kernel:
 
     def gram(self, labels: Sequence) -> np.ndarray:
         """Dense Gram matrix; entries are filled once and mirrored so the
-        result is symmetric bit for bit."""
+        result is symmetric bit for bit.
+
+        Overrides must keep the contract that entry (i, j) depends only on
+        the pair ``labels[i], labels[j]``, not on the rest of the set, so
+        that every prefix's Gram is a leading block of the full one;
+        filtration traces read every stage from the last stage's factor on
+        that basis."""
         n = len(labels)
         out = np.empty((n, n), dtype=float)
         for i in range(n):
@@ -234,9 +245,8 @@ def _pivoted_cholesky(matrix: np.ndarray) -> _Factor:
 class GramMatrix:
     """Symmetric kernel matrix over an ordered point set.
 
-    Immutable after construction.  The factorization is seeded once by
-    :meth:`border`, or else computed by the pivoted path under a lock on
-    first use; all later reads are lock-free.
+    Immutable after construction.  The pivoted factorization is computed
+    under a lock on first use; all later reads are lock-free.
     """
 
     def __init__(self, points: PointSet, matrix, kernel_name: str = "kernel"):
@@ -266,50 +276,6 @@ class GramMatrix:
                     fact = _pivoted_cholesky(self.matrix)
                     self._factor = fact
         return fact
-
-    def border(self, prev: "GramMatrix | None") -> bool:
-        """Seed the factorization by bordering the factor of ``prev``.
-
-        ``prev`` is a leading principal block of this matrix (None: the empty
-        block).  With L its factor, the new rows are X^T = (L^-1 K_{F,B})^T
-        and the LAPACK Cholesky factor of K_BB - X^T X, so growing a nested
-        family one stage at a time costs no refactorization.  Nothing is
-        seeded, and :meth:`factorization` takes the pivoted path, unless
-        prev's factor is strictly PD with identity permutation, prev's matrix
-        is this matrix's leading block bit for bit, and every pivot clears
-        the PIVOT_RTOL threshold of this matrix.  Returns whether it seeded.
-        """
-        a, n = self.matrix, self.size
-        if prev is None:
-            m, lead, pivots, logdet = 0, np.zeros((0, 0)), np.zeros(0), 0.0
-        else:
-            m, fact = prev.size, prev._factor
-            if (
-                fact is None
-                or not isinstance(fact.status, StrictlyPD)
-                or not np.array_equal(fact.perm, np.arange(m))
-                or not np.array_equal(a[:m, :m], prev.matrix)
-            ):
-                return False
-            lead, pivots, logdet = fact.lower, fact.pivots, fact.status.logdet
-        x = solve_triangular(lead, a[:m, m:], lower=True, check_finite=False)
-        try:
-            block = np.linalg.cholesky(a[m:, m:] - x.T @ x)
-        except np.linalg.LinAlgError:
-            return False
-        new = np.diagonal(block) ** 2
-        pivots = np.concatenate([pivots, new])
-        if not pivots.min() > PIVOT_RTOL * max(float(np.diagonal(a).max()), 0.0):
-            return False
-        lower = np.zeros((n, n))
-        lower[:m, :m] = lead
-        lower[m:, :m] = x.T
-        lower[m:, m:] = block
-        status = StrictlyPD(logdet=logdet + float(np.sum(np.log(new))))
-        with self._lock:
-            if self._factor is None:
-                self._factor = _Factor(perm=np.arange(n), lower=lower, pivots=pivots, status=status)
-        return True
 
     def pd(self) -> PDResult:
         return self.factorization().status

@@ -14,9 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg.blas import dspmv, dtpsv
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 from . import exact
-from .core import Kernel, PointSet, assemble_gram, log_det, projection_norm_sq
+from .core import (
+    PIVOT_RTOL,
+    SOLVE_RTOL,
+    Kernel,
+    PointSet,
+    assemble_gram,
+    log_det,
+    projection_norm_sq,
+)
 from .errors import MonotonicityViolation, TooFewStages
 
 # A decrease beyond this slack along a filtration is a numerical failure.
@@ -118,6 +128,7 @@ class FiltrationTrace:
     exact_values: tuple | None = None
     det_ratios: np.ndarray | None = None
     verdict: Membership | None = None
+    minors: tuple | None = None   # exact path: leading minors of the last stage's Gram
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
@@ -138,12 +149,107 @@ def _reported_stages(filtration: Filtration):
             yield pos, stage
 
 
-def _assemble_bordered(kernel: Kernel, points, prev):
-    """Assemble a stage and seed its factor from ``prev``, the previous
-    member of the same nested family (None for the first)."""
-    gram = assemble_gram(kernel, points)
-    gram.border(prev)
-    return gram
+def _last_gram(kernel: Kernel, filtration: Filtration, first: PointSet):
+    """Gram of the last stage, assembled once, the target's index in it, and
+    whether the kernel gives the stage ``first`` the same matrix on its own.
+
+    Every stage of a consistent kernel is a leading block of this Gram; a
+    kernel whose entries depend on the set they are assembled over fails the
+    check, and then every stage is assembled on its own."""
+    last = filtration.stages[-1]
+    gram = assemble_gram(kernel, last)
+    a = gram.matrix
+    m = len(first)
+    consistent = m == len(last) or np.array_equal(assemble_gram(kernel, first).matrix, a[:m, :m])
+    return a, last.index(filtration.target), consistent
+
+
+def _leading_factor(matrix: np.ndarray):
+    """One LAPACK Cholesky of ``matrix``, read as the factor of each of its
+    leading blocks.
+
+    Returns the upper factor U (F-ordered, ``U^T U = K``) and how many leading
+    blocks it serves: those LAPACK factored whose pivots ``U_kk^2`` all exceed
+    PIVOT_RTOL times the block's largest diagonal entry.  A failure at pivot k
+    leaves the first k - 1 rows valid, so the blocks before it are still
+    served.
+    """
+    upper, info = dpotrf(matrix.T, lower=0, clean=1)
+    done = len(matrix) if info == 0 else max(info - 1, 0)
+    pivots = np.diagonal(upper)[:done] ** 2
+    scale = np.maximum(np.maximum.accumulate(np.diagonal(matrix)[:done]), 0.0)
+    cleared = np.minimum.accumulate(pivots) > PIVOT_RTOL * scale
+    return upper, done if cleared.all() else int(np.argmin(cleared))
+
+
+def _log_dets(upper: np.ndarray, served: int) -> np.ndarray:
+    """``out[k]``: log-determinant of the first k + 1 points."""
+    return np.cumsum(2.0 * np.log(np.diagonal(upper)[:served]))
+
+
+def _float_values(kernel: Kernel, filtration: Filtration, stages: list) -> list:
+    """Float projection norms of the target at each reported stage.
+
+    One factor of the last stage's Gram serves a stage of m points when the
+    kernel is consistent on the first reported stage, the factor serves the
+    m-block (:func:`_leading_factor`), and ``zeta_m = L_m^-T c[:m]`` meets the
+    solve contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + max|K_m|)``,
+    with ``c = L^-1 e_t``; its value is then ``sum_{k<m} c_k^2``.  From the
+    first stage that fails, each stage is assembled and solved on its own by
+    the pivoted path, with its semidefinite and not-PSD verdicts.
+    """
+    a, t, consistent = _last_gram(kernel, filtration, stages[0])
+    values = []
+    if consistent:
+        upper, served = _leading_factor(a)
+        if served > t:
+            # column-major packed upper triangles: the first m(m+1)/2 entries
+            # pack the leading m-block, so every stage reads a prefix, uncopied
+            packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0]
+            e_t = np.zeros(served)
+            e_t[t] = 1.0
+            c = dtpsv(served, packed_u, e_t, trans=1)
+            running = np.cumsum(c * c)
+            # largest |K| over each leading block, from the lower triangle's row maxima
+            scale = np.maximum.accumulate(np.abs(np.tril(a[:served, :served])).max(axis=1))
+            for m in map(len, stages):
+                if m > served:
+                    break
+                zeta = dtpsv(m, packed_u, c[:m])
+                resid = dspmv(m, 1.0, packed_k, zeta, beta=-1.0, y=e_t[:m])
+                if not np.abs(resid).max() <= SOLVE_RTOL * (1.0 + scale[m - 1]):
+                    break
+                values.append(float(running[m - 1]))
+    for stage in stages[len(values):]:
+        values.append(projection_norm_sq(assemble_gram(kernel, stage), filtration.target))
+    return values
+
+
+def _float_det_ratios(kernel: Kernel, filtration: Filtration, stages: list) -> list:
+    """Float det(target-deleted minor) / det(K) at each reported stage.
+
+    The stages and their target-deleted minors are the leading blocks of the
+    last stage's Gram and of that Gram with the target's row and column
+    deleted, so one factor of each gives every log-determinant as a running
+    sum of ``2 log U_kk``.  A stage is served while the kernel is consistent
+    and both factors serve their blocks; from the first stage that fails, its
+    matrices are assembled and factored on their own by the pivoted path.
+    """
+    a, t, consistent = _last_gram(kernel, filtration, stages[0])
+    ratios = []
+    if consistent:
+        full = _log_dets(*_leading_factor(a))
+        minor = np.delete(np.delete(a, t, axis=0), t, axis=1)
+        rest = np.concatenate([[0.0], _log_dets(*_leading_factor(minor))])
+        for m in map(len, stages):
+            if m > len(full) or m > len(rest):
+                break
+            ratios.append(math.exp(rest[m - 1] - full[m - 1]))
+    for stage in stages[len(ratios):]:
+        others = [x for x in stage if x != filtration.target]
+        ld_minor = log_det(assemble_gram(kernel, others)) if others else 0.0
+        ratios.append(math.exp(ld_minor - log_det(assemble_gram(kernel, stage))))
+    return ratios
 
 
 def _exact_last_stage(filtration: Filtration, kernel: Kernel):
@@ -156,21 +262,26 @@ def _exact_last_stage(filtration: Filtration, kernel: Kernel):
 def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     """Projection norms of the target over every stage containing it.
 
-    Kernels with an exact integer path are solved in rational arithmetic, so
-    their traces carry no rounding at all: one fraction-free elimination of
-    the last stage (:func:`exact.leading_minors`) gives every stage's value
-    as a running sum of exact increments.  A zero leading minor raises
-    :class:`SingularGram`.  Float stages are not factored afresh: each
-    reported stage borders the factor of the one before it
-    (:meth:`GramMatrix.border`), falling back to the pivoted factorization
-    where bordering does not apply.  A float value therefore depends on the
-    stages before it through rounding, within the solve's residual contract,
-    and is not bit-identical to a solve of that stage on its own.
+    Every stage is a leading block of the last stage's Gram, so one
+    factorization of that Gram serves them all.  Kernels with an exact
+    integer path are solved in rational arithmetic and carry no rounding at
+    all: one fraction-free elimination of the last stage
+    (:func:`exact.leading_minors`) gives every stage's value as a running sum
+    of exact increments, and its leading minors travel in the trace's
+    ``minors`` for :func:`det_ratio_trace`.  A zero leading minor raises
+    :class:`SingularGram`.  Float stages are read from one LAPACK Cholesky
+    factor of the last stage, each checked against the pivot threshold and
+    the solve's residual contract; from the first stage that fails a check,
+    stages are assembled and solved on their own by the pivoted path.  A
+    float value therefore carries the rounding of the whole factor, within
+    the residual contract, and is not bit-identical to a solve of that stage
+    on its own.
     """
-    target = filtration.target
-    indices, sizes, values = [], [], []
-    exact_values: list | None = [] if kernel.is_exact else None
-    if exact_values is not None:
+    reported = list(_reported_stages(filtration))
+    stages = [stage for _, stage in reported]
+    sizes = [len(stage) for stage in stages]
+    exact_values = minors = None
+    if kernel.is_exact:
         matrix, t = _exact_last_stage(filtration, kernel)
         minors, column = exact.leading_minors(matrix, t)
         dets = [1] + minors       # dets[m] = det of the first m points
@@ -178,59 +289,50 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
         for k in range(t, len(minors)):
             acc += Fraction(column[k] ** 2, dets[k] * dets[k + 1])
             norms[k + 1] = acc
-    gram = None
-    for pos, stage in _reported_stages(filtration):
-        if exact_values is not None:
-            val = norms[len(stage)]
-            exact_values.append(val)
-            values.append(float(val))
-        else:
-            gram = _assemble_bordered(kernel, stage, gram)
-            values.append(projection_norm_sq(gram, target))
-        indices.append(pos)
-        sizes.append(len(stage))
+        exact_values = tuple(norms[m] for m in sizes)
+        values = [float(v) for v in exact_values]
+        minors = tuple(minors)
+    else:
+        values = _float_values(kernel, filtration, stages)
     _enforce_monotone(values)
     return FiltrationTrace(
-        target=target,
-        stage_indices=tuple(indices),
+        target=filtration.target,
+        stage_indices=tuple(pos for pos, _ in reported),
         stage_sizes=tuple(sizes),
         values=np.asarray(values, dtype=float),
-        exact_values=tuple(exact_values) if exact_values is not None else None,
+        exact_values=exact_values,
+        minors=minors,
     )
 
 
-def det_ratio_trace(kernel: Kernel, filtration: Filtration) -> np.ndarray:
+def det_ratio_trace(kernel: Kernel, filtration: Filtration, minors=None) -> np.ndarray:
     """Minor-over-determinant values per reported stage.
 
     For strictly positive-definite stages, det(target-deleted minor) / det(K)
     equals the projection norm; computed here entirely from determinants so it
     stays an independent cross-check of :func:`trace`.  The stages and their
-    target-deleted minors form two nested families.  On the exact path each
-    family's determinants are the leading minors of one elimination; on the
-    float path each family is grown as its own bordered factor.
+    target-deleted minors form two nested families, the leading blocks of the
+    last stage's Gram and of that Gram without the target's row and column.
+    On the exact path each family's determinants are the leading minors of
+    one elimination; ``minors``, the exact leading minors of the last stage
+    as carried by ``trace(kernel, filtration).minors``, saves the first
+    elimination.  On the float path each family is read from one LAPACK
+    Cholesky factor, under the same pivot threshold and fallback as
+    :func:`trace`.
     """
-    target = filtration.target
+    stages = [stage for _, stage in _reported_stages(filtration)]
     if kernel.is_exact:
         matrix, t = _exact_last_stage(filtration, kernel)
         keep = [i for i in range(len(matrix)) if i != t]
-        dets = [1] + exact.leading_minors(matrix)[0]
+        if minors is None:
+            minors = exact.leading_minors(matrix)[0]
+        dets = [1, *minors]
         rest = [1] + exact.leading_minors([[matrix[i][j] for j in keep] for i in keep])[0]
         # a stage of m points has its target-deleted minor on the first m - 1 others
-        sizes = [len(stage) for _, stage in _reported_stages(filtration)]
-        return np.asarray([float(Fraction(rest[m - 1], dets[m])) for m in sizes], dtype=float)
-    ratios = []
-    full = minor = None
-    for _, stage in _reported_stages(filtration):
-        full = _assemble_bordered(kernel, stage, full)
-        ld_full = log_det(full)
-        rest = [x for x in stage if x != target]
-        if rest:
-            minor = _assemble_bordered(kernel, PointSet.of(rest), minor)
-            ld_minor = log_det(minor)
-        else:
-            ld_minor = 0.0
-        ratios.append(math.exp(ld_minor - ld_full))
-    return np.asarray(ratios, dtype=float)
+        return np.asarray(
+            [float(Fraction(rest[len(s) - 1], dets[len(s)])) for s in stages], dtype=float
+        )
+    return np.asarray(_float_det_ratios(kernel, filtration, stages), dtype=float)
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:

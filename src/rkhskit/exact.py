@@ -24,7 +24,7 @@ def leading_minors(matrix, target=None):
 
         (K_m^{-1})[t, t] = sum_{k=t}^{m-1} column[k]^2 / (minors[k-1] minors[k]),
 
-    the exact analogue of a bordered Cholesky factor's ``entry^2 / pivot``.
+    the exact analogue of a Cholesky factor's ``(L^-1 e_target)_k^2``.
 
     A zero pivot means a singular leading block.  For a positive semidefinite
     K every larger leading block is then singular too (a null vector of the

@@ -53,6 +53,29 @@ class TestPointSet:
         with pytest.raises(ValueError):
             pts.index(9)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (5, 1, 3, 0),
+            (0.5, -2.0, 1e300, 3.25),
+            ("b", "a", "", "c"),
+            ((0, 1), (1,), (), (1, 0, 1)),
+            (np.int64(7), np.float64(0.25), np.int32(-3), np.float32(1.5)),
+            ([0, 1], [1], [np.int64(1), 0]),
+        ],
+    )
+    def test_prefix_equals_fresh_point_set(self, labels):
+        pts = PointSet(labels)
+        for n in range(len(labels) + 1):
+            got, want = pts.prefix(n), PointSet(pts.labels[:n])
+            assert got.labels == want.labels
+            assert got._index == want._index
+            assert got == want and hash(got) == hash(want)
+            for label in labels[:n]:
+                assert label in got and got.index(label) == want.index(label)
+            for label in labels[n:]:
+                assert label not in got
+
 
 class TestAssembleGram:
     def test_brownian_pair(self):
@@ -276,52 +299,6 @@ class TestInvariants:
         for t in threads:
             t.join()
         assert all(r is results[0] for r in results)
-
-
-class TestBorder:
-    def test_matches_pivoted_factor(self):
-        full = random_pd_gram(np.random.default_rng(5), 9)
-        lead = GramMatrix(PointSet(tuple(range(5))), full.matrix[:5, :5])
-        assert lead.border(None)
-        assert full.border(lead)
-        fact = full.factorization()
-        assert np.array_equal(fact.perm, np.arange(9))
-        assert np.allclose(fact.lower @ fact.lower.T, full.matrix, rtol=0, atol=1e-12)
-        fresh = GramMatrix(full.points, full.matrix)
-        assert log_det(full) == pytest.approx(log_det(fresh), rel=1e-12)
-        for target in range(9):
-            assert projection_norm_sq(full, target) == pytest.approx(
-                projection_norm_sq(fresh, target), rel=1e-9
-            )
-
-    def test_falls_back_unless_leading_block_equal(self):
-        lead = GramMatrix(PointSet((0,)), [[1.0]])
-        lead.factorization()
-        gram = GramMatrix(PointSet((0, 1)), [[1.0 + 2e-16, 0.5], [0.5, 1.0]])
-        assert not gram.border(lead)
-        assert gram._factor is None
-
-    def test_falls_back_unless_previous_factor_pd_in_order(self):
-        unfactored = GramMatrix(PointSet((0, 1)), np.diag([1.0, 2.0]))
-        permuted = GramMatrix(PointSet((0, 1)), np.diag([1.0, 2.0]))
-        assert not np.array_equal(permuted.factorization().perm, [0, 1])
-        singular = GramMatrix(PointSet((0, 1)), np.ones((2, 2)))
-        assert isinstance(singular.pd(), SemiDefinite)
-        for prev in (unfactored, permuted, singular):
-            gram = GramMatrix(PointSet((0, 1, 2)), np.pad(prev.matrix, (0, 1)) + np.diag([0, 0, 3.0]))
-            assert not gram.border(prev)
-
-    def test_falls_back_on_small_pivot(self):
-        # the new point nearly repeats the first: its pivot is below threshold
-        matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-        gram = GramMatrix(PointSet((0, 1)), matrix)
-        assert not gram.border(None)
-        assert isinstance(gram.pd(), SemiDefinite)
-
-    def test_falls_back_on_indefinite_block(self):
-        gram = GramMatrix(PointSet((0, 1)), [[1.0, 2.0], [2.0, 1.0]])
-        assert not gram.border(None)
-        assert isinstance(gram.pd(), NotPSD)
 
 
 class TestCoefficientVector:

@@ -1,13 +1,16 @@
 """Filtration traces and membership classification."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpotrf
 
 import rkhskit.cli as cli
 import rkhskit.core as core
+import rkhskit.diagnostics as diagnostics
 from _fractions import fraction_det, fraction_inverse_diagonal
 from rkhskit import (
     BinomialKernel,
@@ -28,6 +31,7 @@ from rkhskit import (
     assemble_gram,
     classify,
     det_ratio_trace,
+    log_det,
     projection_norm_sq,
     trace,
 )
@@ -88,8 +92,9 @@ class TestTrace:
             trace(kernel, Filtration.prefixes([0, 1, 2]))
 
     def test_semidefinite_stage_mid_filtration(self):
-        # stage 3 repeats the section at 1: its bordered pivot is zero, so the
-        # pivoted factorization and its semidefinite solve take that stage
+        # stage 3 repeats the section at 1: its pivot in the last stage's
+        # factor is zero, so the pivoted factorization and its semidefinite
+        # solve take that stage
         kernel = TableKernel((0, 1, 2), [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
         tr = trace(kernel, Filtration.prefixes((0, 1, 2), target=0))
         np.testing.assert_allclose(tr.values, [1.0, 1.0, 1.0], rtol=1e-12)
@@ -118,6 +123,139 @@ class TestTrace:
         # a stage assembled on its own still takes the pivoted path
         projection_norm_sq(assemble_gram(kernel, filtration.stages[-1]), pts[0])
         assert calls == [60]
+
+
+def _count_pivoted(monkeypatch):
+    calls = []
+    original = core._pivoted_cholesky
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(core, "_pivoted_cholesky", counting)
+    return calls
+
+
+def _fresh_stage_values(kernel, filtration):
+    return [
+        projection_norm_sq(assemble_gram(kernel, stage), filtration.target)
+        for stage in filtration.stages
+        if filtration.target in stage
+    ]
+
+
+class TestOneFactorFallback:
+    """A stage is read from the last stage's factor only while every check
+    holds; from the first stage that fails one, stages are solved on their own."""
+
+    def test_inconsistent_kernel_solves_every_stage_on_its_own(self, monkeypatch):
+        class SetScaledKernel(BrownianKernel):
+            # entries depend on the set they are assembled over, not only on
+            # their pair, yet the norms still grow
+            def gram(self, labels):
+                return super().gram(labels) * (1.0 + 1.0 / len(labels))
+
+        kernel = SetScaledKernel()
+        filtration = Filtration.prefixes([1.0, 2.0, 3.5, 5.0], target=2.0)
+        want = _fresh_stage_values(kernel, filtration)
+        calls = _count_pivoted(monkeypatch)
+        assert trace(kernel, filtration).values.tolist() == want
+        assert calls == [2, 3, 4]
+        calls.clear()
+        ratios = det_ratio_trace(kernel, filtration)
+        assert calls == [1, 2, 2, 3, 3, 4]
+        fresh = [
+            math.exp(log_det(assemble_gram(kernel, [x for x in stage if x != 2.0]))
+                     - log_det(assemble_gram(kernel, stage)))
+            for stage in filtration.stages[1:]
+        ]
+        assert ratios.tolist() == fresh
+
+    def test_lapack_failure_mid_filtration(self, monkeypatch):
+        # point 2 repeats the section at 1 with exact binary arithmetic, so
+        # LAPACK meets a zero pivot at stage 3 and stages 1-2 stay factored
+        table = np.array([
+            [1.0, 0.5, 0.5, 0.0, 0.0],
+            [0.5, 1.25, 1.25, 0.0, 0.0],
+            [0.5, 1.25, 1.25, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 3.0],
+        ])
+        assert dpotrf(table.T, lower=0, clean=1)[1] == 3
+        kernel = TableKernel(range(5), table)
+        filtration = Filtration.prefixes(range(5), target=0)
+        calls = _count_pivoted(monkeypatch)
+        tr = trace(kernel, filtration)
+        assert calls == [3, 4, 5]
+        np.testing.assert_allclose(tr.values, [1.0, 1.25, 1.25, 1.25, 1.25], rtol=1e-12)
+        calls.clear()
+        with pytest.raises(SingularGram):
+            det_ratio_trace(kernel, filtration)
+        assert calls == [2]  # stage 3's minor, on points 1 and 2, is singular
+
+    def test_late_pivot_below_threshold(self, monkeypatch):
+        # the fifth point nearly repeats the second: LAPACK factors it, but
+        # its pivot is below PIVOT_RTOL times the largest diagonal entry
+        pts = [1.0, 2.0, 3.0, 4.0, 2.0 + 1e-13, 5.0]
+        gram = assemble_gram(BrownianKernel(), pts).matrix
+        upper, info = dpotrf(gram.T, lower=0, clean=1)
+        assert info == 0
+        assert upper[4, 4] ** 2 < core.PIVOT_RTOL * 4.0 < upper[3, 3] ** 2
+        kernel, filtration = BrownianKernel(), Filtration.prefixes(pts, target=1.0)
+        want = _fresh_stage_values(kernel, filtration)
+        calls = _count_pivoted(monkeypatch)
+        tr = trace(kernel, filtration)
+        assert calls == [5, 6]
+        np.testing.assert_allclose(tr.values, want, rtol=1e-12)
+        assert tr.values[4:].tolist() == want[4:]
+
+    def test_residual_failure(self, monkeypatch):
+        # with a zero residual bound only the exactly solved diagonal stages
+        # pass; the coupled fourth stage rounds and falls back
+        monkeypatch.setattr(diagnostics, "SOLVE_RTOL", 0.0)
+        kernel = TableKernel(
+            range(4),
+            [[4, 0, 0, 0.1], [0, 1, 0, 0.3], [0, 0, 16, 0.7], [0.1, 0.3, 0.7, 1]],
+        )
+        filtration = Filtration.prefixes(range(4), target=0)
+        want = _fresh_stage_values(kernel, filtration)
+        calls = _count_pivoted(monkeypatch)
+        tr = trace(kernel, filtration)
+        assert calls == [4]
+        assert tr.values[:3].tolist() == [0.25, 0.25, 0.25]
+        assert tr.values[3] == want[3]
+
+    def test_nan_entry_rejected_as_asymmetric(self):
+        class NanKernel(BrownianKernel):
+            def gram(self, labels):
+                out = super().gram(labels)
+                if len(labels) > 2:
+                    out[1, 2] = out[2, 1] = np.nan
+                return out
+
+        filtration = Filtration.prefixes([1.0, 2.0, 3.0, 4.0])
+        for run in (trace, det_ratio_trace):
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                run(NanKernel(), filtration)
+
+    def test_pd_filtration_factors_once(self, monkeypatch):
+        assembled = []
+        original = diagnostics.assemble_gram
+
+        def counting(kernel, points):
+            assembled.append(len(points))
+            return original(kernel, points)
+
+        monkeypatch.setattr(diagnostics, "assemble_gram", counting)
+        calls = _count_pivoted(monkeypatch)
+        rng = np.random.default_rng(61)
+        pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 1000)))]
+        kernel, filtration = BrownianKernel(), Filtration.prefixes(pts, target=pts[0])
+        trace(kernel, filtration)
+        det_ratio_trace(kernel, filtration)
+        assert calls == []
+        assert len(assembled) <= 4
 
 
 class TestClassify:

@@ -360,6 +360,48 @@ class TestGFFCommands:
         assert matrix.shape[0] == 20  # flag beat the config value
 
 
+class TestParserReuse:
+    """One parser, built on the first call, serves every later main() call."""
+
+    @staticmethod
+    def _run(argv, out, capsys):
+        out.unlink(missing_ok=True)
+        try:
+            code = cli.main(argv)
+        except SystemExit as err:  # argparse rejects the command line
+            code = err.code
+        std = capsys.readouterr()
+        return code, std.out, std.err, out.read_bytes() if out.exists() else None
+
+    def test_call_sequence_matches_separate_runs(self, brownian_doc, network_doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stages": "doubling", "k": 3, "n": 7, "seed": 5}))
+        out = tmp_path / "out.csv"
+        calls = [
+            ["--config", str(cfg), "diagnose", "--input", brownian_doc, "--target", "3", "--out", str(out)],
+            ["diagnose", "--input", brownian_doc, "--out", str(out)],
+            ["--config", str(cfg), "gff", "sample", "--network", network_doc, "--n", "3", "--out", str(out)],
+            ["gff", "sample", "--network", network_doc, "--out", str(out)],
+            ["diagnose", "--input", brownian_doc, "--stages", "bogus"],
+            ["diagnose", "--input", brownian_doc, "--stages", "doubling", "--tau-stab", "1e-3"],
+            ["diagnose", "--input", brownian_doc],
+            ["network", "resistance", "--network", network_doc, "--x", "1.0", "--y", "3.0"],
+            ["network", "resistance", "--network", network_doc],
+            ["reproduce", "nope"],
+            ["kernel", "eval", "--input", brownian_doc, "--x", "2", "--y", "3"],
+        ]
+        separate = []
+        for argv in calls:
+            cli._parser.cache_clear()  # what a fresh process starts from
+            separate.append(self._run(argv, out, capsys))
+        cli._parser.cache_clear()
+        sequence = [self._run(argv, out, capsys) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert sequence == separate
+        assert [code for code, *_ in sequence] == [0, 0, 0, 0, 2, 1, 0, 0, 0, 1, 0]
+        assert sequence[0][3] != sequence[1][3]  # the config's doubling stages did not stick
+
+
 class TestTreeCommands:
     def test_histogram_csv(self, tmp_path):
         out = tmp_path / "hist.csv"
