@@ -81,13 +81,17 @@ class PointSet:
         except KeyError:
             raise ValueError(f"point {label!r} is not in the set") from None
 
-    def prefix(self, n: int) -> "PointSet":
-        # the labels are already canonical and distinct
-        labels = self.labels[:n]
-        out = object.__new__(PointSet)
+    @classmethod
+    def canonical(cls, labels: tuple) -> "PointSet":
+        """Point set over labels that are already canonical and pairwise
+        distinct, built without checking either."""
+        out = object.__new__(cls)
         object.__setattr__(out, "labels", labels)
         object.__setattr__(out, "_index", dict(zip(labels, range(len(labels)))))
         return out
+
+    def prefix(self, n: int) -> "PointSet":
+        return PointSet.canonical(self.labels[:n])
 
 
 class Kernel:

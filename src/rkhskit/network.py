@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .core import Kernel, PointSet
+from .core import Kernel, PointSet, _canon_label
 from .errors import Disconnected
 
 # Residual contract for dipole solves, relative to the pole's conductance.
@@ -27,64 +27,115 @@ DIPOLE_RTOL = 1e-9
 class Network:
     """Connected weighted graph (V, E, c) with base vertex ``base``.
 
-    Edges are undirected, stored once, with strictly positive conductances;
-    self-loops and duplicates are rejected.  Instances are immutable after
-    construction and safe to share across threads; the sparse LU factor of the
-    grounded Laplacian and the Green matrix are each computed once under a
-    lock.
+    Edges are undirected, stored once, with finite, strictly positive
+    conductances; self-loops and duplicates are rejected, and an invalid
+    network reports its first offending edge in input order.  Edges are held
+    as index arrays: ``_ends`` (E x 2 vertex indices) and ``_cond``, in input
+    order; neighbours are slices of one CSR built from them, in edge order.
+    Instances are immutable after construction and safe to share across
+    threads; the sparse LU factor of the grounded Laplacian and the Green
+    matrix are each computed once under a lock.
     """
 
     def __init__(self, vertices, base, edges):
         pts = PointSet.of(vertices)
         if base not in pts:
             raise ValueError(f"base vertex {base!r} is not a vertex")
-        seen = set()
-        adjacency = {v: [] for v in pts}
-        norm_edges = []
+        find = pts._index.get
+
+        def lookup(label):  # -1 for an unknown or unhashable label
+            try:
+                return find(_canon_label(label), -1)
+            except TypeError:
+                return -1
+
+        triples, ends, cond = [], [], []
         for u, v, c in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u!r} is not allowed")
-            if u not in pts or v not in pts:
-                raise ValueError(f"edge ({u!r}, {v!r}) references an unknown vertex")
-            c = float(c)
-            if not c > 0:
-                raise ValueError(f"conductance on edge ({u!r}, {v!r}) must be positive, got {c}")
-            key = frozenset((u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add(key)
-            norm_edges.append((u, v, c))
-            adjacency[u].append((v, c))
-            adjacency[v].append((u, c))
+            try:
+                c = float(c)
+                cond.append(c)
+            except (TypeError, ValueError):
+                cond.append(np.nan)  # the edge keeps c; _edge_error reports it
+            triples.append((u, v, c))
+            ends.append((lookup(u), lookup(v)))
+        self._setup(pts, base, np.array(ends, dtype=np.intp).reshape(-1, 2),
+                    np.array(cond, dtype=float), tuple(triples))
+
+    @classmethod
+    def _from_arrays(cls, vertices: PointSet, base_index: int, ends, cond) -> "Network":
+        """Network over canonical labels with edges given as endpoint index
+        pairs and conductances; ``edges`` is spelled from the labels."""
+        net = object.__new__(cls)
+        net._setup(vertices, vertices.labels[base_index], ends, cond, None)
+        return net
+
+    def _setup(self, pts, base, ends, cond, edges):
         self.vertices = pts
         self.base = base
-        self.edges = tuple(norm_edges)
-        # endpoint indices (one row per edge) and conductances, in edge order
-        self._ends = np.array(
-            [(pts.index(u), pts.index(v)) for u, v, _ in norm_edges], dtype=np.intp
-        ).reshape(-1, 2)
-        self._cond = np.array([c for _, _, c in norm_edges], dtype=float)
-        self._adjacency = {v: tuple(nbrs) for v, nbrs in adjacency.items()}
+        self._base_index = pts.index(base)
+        self._ends = ends           # endpoint indices, one row per edge, -1 unknown
+        self._cond = cond           # conductances in edge order, nan unconvertible
+        self._edges = edges
+        self._validate()
+        n = len(pts)
+        rows = ends.ravel()
+        order = np.argsort(rows, kind="stable")
+        # CSR over both orientations of every edge, each row in edge order
+        self._nbr_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self._nbr = ends[:, ::-1].ravel()[order]
+        self._nbr_cond = np.repeat(cond, 2)[order]
         self._check_connected()
+        self._grounded_points = None  # V \ {base} as a PointSet, built on first use
         # reentrant: building the Green matrix solves through the same guard
         self._lock = threading.RLock()
         self._grounded = None       # cached sparse LU of the grounded Laplacian
         self._green = None          # cached Green matrix over V \ {base}
 
+    def _validate(self):
+        """Raise for the first edge in input order that is a self-loop, names
+        an unknown vertex, has a conductance that is not finite and positive,
+        or repeats an earlier edge, checked per edge in that order."""
+        u, v = self._ends.T
+        c = self._cond
+        count = len(c)
+        first_bad = _first((u == v) | (u < 0) | (v < 0) | ~((c > 0) & (c < np.inf)))
+        # edges whose unordered endpoint pair occurred earlier; an unknown
+        # endpoint's -1 keeps those keys apart from every valid one
+        keys = np.minimum(u, v) * len(self.vertices) + np.maximum(u, v)
+        repeat = np.ones(count, dtype=bool)
+        repeat[np.unique(keys, return_index=True)[1]] = False
+        first_repeat = _first(repeat)
+        if first_repeat < first_bad:
+            x, y, _ = self.edges[first_repeat]
+            raise ValueError(f"duplicate edge ({x!r}, {y!r})")
+        if first_bad < count:
+            raise _edge_error(self.vertices, *self.edges[first_bad])
+
     def _check_connected(self):
-        seen = {self.base}
-        stack = [self.base]
-        while stack:
-            x = stack.pop()
-            for y, _ in self._adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        missing = [v for v in self.vertices if v not in seen]
-        if missing:
+        from scipy.sparse.csgraph import connected_components  # ~5 ms to import; only networks need it
+
+        n = len(self.vertices)
+        graph = scipy.sparse.csr_matrix((self._nbr_cond, self._nbr, self._nbr_ptr), shape=(n, n))
+        _, component = connected_components(graph, directed=False)
+        unreached = np.flatnonzero(component != component[self._base_index])
+        if unreached.size:
+            labels = self.vertices.labels
+            missing = [labels[i] for i in unreached.tolist()]
             raise Disconnected(f"vertices unreachable from base {self.base!r}: {missing!r}")
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def edges(self) -> tuple:
+        """(u, v, conductance) per edge, in input order."""
+        edges = self._edges
+        if edges is None:  # spelled from the labels; racing threads build equal tuples
+            labels = self.vertices.labels
+            edges = tuple(
+                (labels[i], labels[j], c) for (i, j), c in zip(self._ends.tolist(), self._cond.tolist())
+            )
+            self._edges = edges
+        return edges
 
     def __len__(self):
         return len(self.vertices)
@@ -92,25 +143,43 @@ class Network:
     def index(self, x) -> int:
         return self.vertices.index(x)
 
+    def _incident(self, x):
+        """Neighbour indices and conductances of x, in edge order."""
+        i = self.index(x)
+        lo, hi = self._nbr_ptr[i], self._nbr_ptr[i + 1]
+        return self._nbr[lo:hi], self._nbr_cond[lo:hi]
+
     def neighbors(self, x):
-        return self._adjacency[x]
+        idx, cond = self._incident(x)
+        labels = self.vertices.labels
+        return tuple(zip([labels[j] for j in idx.tolist()], cond.tolist()))
 
     def conductance(self, x, y) -> float:
-        for z, c in self._adjacency[x]:
-            if z == y:
-                return c
-        return 0.0
+        idx, cond = self._incident(x)
+        if y not in self.vertices:
+            return 0.0
+        hit = np.flatnonzero(idx == self.index(y))
+        return float(cond[hit[0]]) if hit.size else 0.0
 
     def total_conductance(self, x) -> float:
-        """c(x): the sum of conductances of all edges at x."""
-        return float(sum(c for _, c in self._adjacency[x]))
+        """c(x): the sum of conductances of all edges at x, in edge order."""
+        return float(sum(self._incident(x)[1].tolist()))
 
     def grounded_vertices(self) -> PointSet:
-        return PointSet(tuple(v for v in self.vertices if v != self.base))
+        # built at most once per thread that races here; every build is equal
+        pts = self._grounded_points
+        if pts is None:
+            labels, b = self.vertices.labels, self._base_index
+            pts = self._grounded_points = PointSet.canonical(labels[:b] + labels[b + 1:])
+        return pts
+
+    def _grounded_index(self, i: int) -> int:
+        """Position of vertex index i (not the base) in V \\ {base}."""
+        return i - (i > self._base_index)
 
     def _grounded_indices(self) -> np.ndarray:
         """Vertex indices of V \\ {base}, in grounded-vertex order."""
-        return np.delete(np.arange(len(self.vertices)), self.index(self.base))
+        return np.delete(np.arange(len(self.vertices)), self._base_index)
 
     def _grounded_system(self):
         ground = self._grounded
@@ -196,7 +265,27 @@ class Network:
         return cls(vertices, base, edges)
 
     def __repr__(self):
-        return f"Network(n={len(self.vertices)}, edges={len(self.edges)}, base={self.base!r})"
+        return f"Network(n={len(self.vertices)}, edges={len(self._cond)}, base={self.base!r})"
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry, or the length when there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _edge_error(pts: PointSet, u, v, c) -> Exception:
+    """The error for an edge the array checks flagged: the first of the
+    self-loop, unknown-vertex and conductance checks that it fails."""
+    if u == v:
+        return ValueError(f"self-loop at {u!r} is not allowed")
+    if u not in pts or v not in pts:
+        return ValueError(f"edge ({u!r}, {v!r}) references an unknown vertex")
+    c = float(c)
+    if not c > 0:
+        return ValueError(f"conductance on edge ({u!r}, {v!r}) must be positive, got {c}")
+    if c == np.inf:
+        return ValueError(f"conductance on edge ({u!r}, {v!r}) must be finite, got {c}")
+    return ValueError(f"self-loop at {u!r} is not allowed")  # both ends name one vertex
 
 
 def laplacian_apply(net: Network, values) -> np.ndarray:
@@ -238,17 +327,16 @@ def dipole(net: Network, x) -> Dipole:
     """Solve the grounded Laplacian system for the pole x."""
     if x == net.base:
         raise ValueError("the base vertex has the zero dipole by convention")
-    grounded = net.grounded_vertices()
-    gi = grounded.index(x)
-    rhs = np.zeros(len(grounded))
-    rhs[gi] = 1.0
+    i = net.index(x)
+    rhs = np.zeros(len(net.vertices) - 1)
+    rhs[net._grounded_index(i)] = 1.0
     keep = net._grounded_indices()
     values = np.zeros(len(net.vertices))
     values[keep] = net.grounded_solve(rhs)
     # contract: applying the Laplacian returns the dipole source pattern
     resid = laplacian_apply(net, values)
-    resid[net.index(x)] -= 1.0
-    resid[net.index(net.base)] += 1.0
+    resid[i] -= 1.0
+    resid[net._base_index] += 1.0
     if float(np.abs(resid).max()) > DIPOLE_RTOL * net.total_conductance(x):
         values[keep] += net.grounded_solve(-resid[keep])
     return Dipole(pole=x, values=values)
@@ -315,17 +403,18 @@ def resistance(net: Network, x, y) -> float:
     """
     if x not in net.vertices or y not in net.vertices:
         raise ValueError("both endpoints must be vertices")
-    if x == y:
+    i, j, b = net.index(x), net.index(y), net._base_index
+    if i == j:
         return 0.0
-    grounded = net.grounded_vertices()
-    rhs = np.zeros(len(grounded))
-    if x != net.base:
-        rhs[grounded.index(x)] = 1.0
-    if y != net.base:
-        rhs[grounded.index(y)] -= 1.0
+    gi, gj = net._grounded_index(i), net._grounded_index(j)
+    rhs = np.zeros(len(net.vertices) - 1)
+    if i != b:
+        rhs[gi] = 1.0
+    if j != b:
+        rhs[gj] -= 1.0
     sol = net.grounded_solve(rhs)
-    vx = sol[grounded.index(x)] if x != net.base else 0.0
-    vy = sol[grounded.index(y)] if y != net.base else 0.0
+    vx = sol[gi] if i != b else 0.0
+    vy = sol[gj] if j != b else 0.0
     return float(vx - vy)
 
 

@@ -14,8 +14,12 @@ default convention is r(0) = 1, recorded in outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .core import PointSet
 from .errors import BoundaryWord, WeightUndefined
 from .network import Network, resistance
 
@@ -102,17 +106,26 @@ class LevelWeights:
         return f"explicit:{len(self.values)} levels"
 
     def r(self, level: int) -> float:
+        """Resistance at the level; raises ``WeightUndefined`` where there is
+        none, or where it is 0 or not finite in floating point."""
         if level < 0:
             raise WeightUndefined(f"no resistance below level 0 (asked for {level})")
         if self.kind == "geometric":
-            return self.ratio ** level
-        if self.kind == "constant":
-            return self.value
-        if level >= len(self.values):
+            try:
+                value = self.ratio ** level
+            except OverflowError:
+                value = math.inf
+        elif self.kind == "constant":
+            value = self.value
+        elif level >= len(self.values):
             raise WeightUndefined(
                 f"explicit weights cover levels 0..{len(self.values) - 1}, asked for {level}"
             )
-        return self.values[level]
+        else:
+            value = self.values[level]
+        if not 0.0 < value < math.inf:
+            raise WeightUndefined(f"resistance at level {level} is {value} in floating point")
+        return value
 
     @property
     def summable(self) -> bool:
@@ -135,23 +148,22 @@ class LevelWeights:
 
 def build_tree(depth: int, weights: LevelWeights) -> Network:
     """Complete binary tree of all words up to the given depth, as a network
-    with 2^(depth+1) - 1 vertices rooted at the empty word."""
+    with 2^(depth+1) - 1 vertices rooted at the empty word.
+
+    Vertices are in heap order: the root, then each level left to right, so
+    the children of vertex i are vertices 2i+1 and 2i+2, and edge k joins
+    vertex k+1 to its parent k//2 with conductance 1/r(level of the parent).
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    vertices: list[Word] = [()]
-    edges = []
-    frontier: list[Word] = [()]
+    level_cond = [1.0 / weights.r(level) for level in range(depth)]
+    words: list[Word] = [()]
     for level in range(depth):
-        c = 1.0 / weights.r(level)
-        nxt = []
-        for word in frontier:
-            for bit in (0, 1):
-                child = word + (bit,)
-                vertices.append(child)
-                edges.append((word, child, c))
-                nxt.append(child)
-        frontier = nxt
-    return Network(vertices, (), edges)
+        words += [word + (bit,) for word in words[-(1 << level):] for bit in (0, 1)]
+    child = np.arange(1, len(words), dtype=np.intp)
+    ends = np.column_stack(((child - 1) // 2, child))
+    cond = np.repeat(level_cond, 2 << np.arange(depth))  # 2^(level+1) edges per level
+    return Network._from_arrays(PointSet.canonical(tuple(words)), 0, ends, cond)
 
 
 def tree_delta_norm_closed(word: Word, weights: LevelWeights, depth: int) -> float:

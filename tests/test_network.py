@@ -45,6 +45,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             Network([0, 1], 0, [(0, 1, 0.0)])
 
+    @pytest.mark.parametrize("c", [float("inf"), float("nan"), -1.0])
+    def test_rejects_nonfinite_or_negative_conductance(self, c):
+        with pytest.raises(ValueError, match="conductance on edge"):
+            Network([0, 1, 2], 0, [(0, 1, 1.0), (1, 2, c)])
+
+    def test_reports_first_offending_edge_in_input_order(self):
+        # the first bad edge is a duplicate, the later ones fail earlier checks
+        edges = [(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0), (0, 9, 1.0), (1, 2, -1.0)]
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 0\)$"):
+            Network([0, 1, 2], 0, edges)
+        # one edge failing several checks reports the first of them
+        with pytest.raises(ValueError, match="self-loop at 9"):
+            Network([0, 1], 0, [(0, 1, 1.0), (9, 9, "x")])
+        with pytest.raises(ValueError, match="unknown vertex"):
+            Network([0, 1], 0, [(0, 1, 1.0), (1, 9, "x")])
+        with pytest.raises(ValueError, match="could not convert"):
+            Network([0, 1, 2], 0, [(0, 1, "x"), (1, 0, 1.0)])
+
     def test_rejects_unknown_vertex(self):
         with pytest.raises(ValueError, match="unknown"):
             Network([0, 1], 0, [(0, 2, 1.0)])
@@ -411,6 +429,35 @@ class TestConcurrency:
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+
+    def test_lazy_edges_and_grounded_vertices_agree_across_threads(self):
+        import sys
+        import threading
+
+        weights = LevelWeights.geometric(0.5)
+        serial = build_tree(5, weights)
+        want = (serial.edges, serial.grounded_vertices().labels)
+        shared = build_tree(5, weights)  # neither view built yet
+        results = [None] * 8
+        barrier = threading.Barrier(8)
+
+        def work(i):
+            barrier.wait()
+            results[i] = (shared.edges, shared.grounded_vertices().labels)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == want for r in results)
 
 
 class TestSparsePath:

@@ -297,6 +297,15 @@ class TestNetworkCommands:
         assert np.array_equal(matrix, matrix.T)
         assert not np.diag(matrix).any()
 
+    @pytest.mark.parametrize("cmd", ["green", "resistance"])
+    def test_infinite_conductance_exits_1(self, cmd, tmp_path, capsys):
+        doc = tmp_path / "net.json"
+        doc.write_text('{"vertices": [0, 1, 2], "base": 0, "edges": [[0, 1, Infinity], [1, 2, 1.0]]}')
+        assert run_cli("network", cmd, "--network", str(doc)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: conductance on edge (0, 1) must be finite, got inf\n"
+
     def test_delta_norm(self, network_doc, capsys):
         assert run_cli("network", "delta-norm", "--network", network_doc, "--x", "2.0") == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0)
@@ -427,6 +436,23 @@ class TestTreeCommands:
         assert doc["meet_level"] == 0
         assert doc["network_value"] == pytest.approx(doc["series_sum"], rel=1e-9)
         assert doc["tail_value"] == pytest.approx(4.0)
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("resistance", "--weights", "geometric:1e-200", "--w1", "000", "--w2", "001"),
+            ("histogram", "--weights", "geometric:1e-200", "--depth", "4"),
+            ("resistance", "--weights", "geometric:1e200", "--w1", "000", "--w2", "001"),
+            ("histogram", "--weights", "constant:inf", "--depth", "4"),
+        ],
+        ids=["resistance-underflow", "histogram-underflow", "resistance-overflow", "histogram-inf"],
+    )
+    def test_degenerate_level_weights_exit_1(self, argv, capsys):
+        assert run_cli("tree", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "level" in err
+        assert "Traceback" not in err
 
 
 class TestReproduceCommand:
