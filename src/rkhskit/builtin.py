@@ -51,13 +51,14 @@ def _is_nonneg_int(label) -> bool:
 
 
 class BrownianKernel(Kernel):
-    """Covariance of standard Brownian motion restricted to points s, t > 0."""
+    """Covariance of standard Brownian motion restricted to finite points
+    s, t > 0."""
 
     name = "brownian"
-    domain = "positive reals"
+    domain = "finite positive reals"
 
     def contains(self, label) -> bool:
-        return _is_coordinate(label) and label > 0
+        return _is_coordinate(label) and 0 < label < math.inf
 
     def __call__(self, x, y) -> float:
         return float(min(x, y))

@@ -84,6 +84,8 @@ def _cmd_kernel_eval(args, config) -> int:
 
 def _cmd_kernel_gram(args, config) -> int:
     kernel, points = load_kernel_doc(_load_json(args.input))
+    if len(points) == 0:  # assemble_gram's error, which the exact path never reaches
+        raise ValueError("point set must be nonempty")
     with _output(_opt(args, config, "out", None)) as out:
         exact = kernel.exact_gram(points.labels)
         if exact is not None:

@@ -313,12 +313,17 @@ def assemble_gram(kernel: Kernel, points) -> GramMatrix:
     pts = PointSet.of(points)
     if len(pts) == 0:
         raise ValueError("point set must be nonempty")
-    outside = [x for x in pts if not kernel.contains(x)]
+    check_domain(kernel, pts)
+    return GramMatrix(pts, kernel.gram(pts.labels), kernel_name=kernel.name)
+
+
+def check_domain(kernel: Kernel, labels) -> None:
+    """Raise ``DomainMismatch`` naming every label the kernel does not contain."""
+    outside = [x for x in labels if not kernel.contains(x)]
     if outside:
         raise DomainMismatch(
             f"labels outside the domain of kernel {kernel.name!r} ({kernel.domain}): {outside!r}"
         )
-    return GramMatrix(pts, kernel.gram(pts.labels), kernel_name=kernel.name)
 
 
 def check_pd(gram: GramMatrix) -> PDResult:

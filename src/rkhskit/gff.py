@@ -25,20 +25,21 @@ from .errors import MissingNeighbor, NotPositiveSemidefinite
 from .network import Network, resistance
 
 
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _MASK64 = (1 << 64) - 1
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, via 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+def _mulhilo(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, via 32-bit halves;
+    m is a np.uint64 scalar or a uint64 array of x's shape."""
+    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
     x_lo, x_hi = x & _LO32, x >> np.uint64(32)
     cross = x_hi * m_lo
     mid = ((x_lo * m_lo) >> np.uint64(32)) + (cross & _LO32) + x_lo * m_hi
     hi = x_hi * m_hi + (cross >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, x * np.uint64(m)
+    return hi, x * m
 
 
 def _normal_rows(seed: int, n: int, cols: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .builtin import BinomialKernel, BridgeKernel, BrownianKernel
-from .core import Kernel, PointSet, TableKernel, _canon_label
+from .core import Kernel, PointSet, TableKernel, _canon_label, check_domain
 from .network import Network, green_kernel
 
 
@@ -65,9 +65,12 @@ def load_kernel_doc(doc: dict) -> tuple[Kernel, PointSet]:
     else:
         raise ValueError(f"unknown kernel type {kind!r}")
     points = doc.get("points")
-    if points is None:
+    if not isinstance(points, (list, tuple)):  # a string would spell one point per character
         raise ValueError("kernel document needs a 'points' list")
     if kind == "binomial":
+        # integral floats from JSON become ints; other points are refused
+        # here, because the exact path would truncate them with int()
+        check_domain(kernel, points)
         points = [int(p) for p in points]
     return kernel, PointSet.of(points)
 
@@ -91,10 +94,11 @@ def write_matrix_csv(fp: TextIO, labels, matrix) -> None:
     writer = csv.writer(fp)
     writer.writerow([_label_text(x) for x in labels])
     if isinstance(matrix, np.ndarray) and matrix.dtype.kind == "f" and matrix.ndim == 2:
-        # "%.17g" % x is format(x, ".17g"), so this writes fmt's bytes and
-        # the csv module's row end without a writer call per row
-        line = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
-        fp.writelines(line % tuple(row) for row in matrix.tolist())
+        # imported on first use: a command that writes no float CSV neither
+        # compiles the encoder nor builds its tables
+        from ._floatcsv import write_float_rows
+
+        write_float_rows(fp, matrix)
         return
     rows = matrix if not isinstance(matrix, np.ndarray) else matrix.tolist()
     for row in rows:

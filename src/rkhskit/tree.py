@@ -107,7 +107,8 @@ class LevelWeights:
 
     def r(self, level: int) -> float:
         """Resistance at the level; raises ``WeightUndefined`` where there is
-        none, or where it is 0 or not finite in floating point."""
+        none, where it is 0 or not finite in floating point, or where its
+        conductance 1/r is not (a subnormal r)."""
         if level < 0:
             raise WeightUndefined(f"no resistance below level 0 (asked for {level})")
         if self.kind == "geometric":
@@ -123,7 +124,7 @@ class LevelWeights:
             )
         else:
             value = self.values[level]
-        if not 0.0 < value < math.inf:
+        if not 0.0 < value < math.inf or 1.0 / value == math.inf:
             raise WeightUndefined(f"resistance at level {level} is {value} in floating point")
         return value
 
@@ -247,10 +248,13 @@ def energy_histogram(depth: int, weights: LevelWeights) -> list[HistogramRow]:
         raise ValueError("a histogram needs depth at least 2")
     rows = []
     for level in range(1, depth):
+        energy = 2.0 / weights.r(level) + 1.0 / weights.r(level - 1)
+        if energy == math.inf:
+            raise WeightUndefined(f"point-mass energy at level {level} overflows floating point")
         rows.append(
             HistogramRow(
                 level=level,
-                energy=2.0 / weights.r(level) + 1.0 / weights.r(level - 1),
+                energy=energy,
                 multiplicity=2 ** level,
                 uses_level0=(level == 1),
             )

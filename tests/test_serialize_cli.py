@@ -10,6 +10,7 @@ import pytest
 import rkhskit.cli as cli
 from rkhskit import (
     BrownianKernel,
+    DomainMismatch,
     LevelWeights,
     MonotonicityViolation,
     Network,
@@ -48,9 +49,12 @@ class TestKernelDocs:
             assert kernel_doc(kernel, points) == doc
 
     def test_binomial_points_coerced_to_int(self):
-        kernel, points = load_kernel_doc({"kernel": {"type": "binomial"}, "points": [0, 1, 2]})
+        kernel, points = load_kernel_doc({"kernel": {"type": "binomial"}, "points": [0, 1.0, 2]})
         assert kernel.name == "binomial"
+        assert points.labels == (0, 1, 2)
         assert all(isinstance(x, int) for x in points)
+        with pytest.raises(DomainMismatch, match="nonnegative integers"):
+            load_kernel_doc({"kernel": {"type": "binomial"}, "points": [0, 1.5]})
 
     def test_table_round_trip(self):
         doc = {
@@ -75,6 +79,10 @@ class TestKernelDocs:
             load_kernel_doc({"kernel": {"type": "unknown"}, "points": [1]})
         with pytest.raises(ValueError):
             load_kernel_doc({"kernel": {"type": "brownian"}})
+        with pytest.raises(ValueError, match="'points' list"):  # not one point per character
+            load_kernel_doc({"kernel": {"type": "network", "network": {
+                "vertices": ["o", "a", "b"], "base": "o", "edges": [["o", "a", 1], ["a", "b", 1]],
+            }}, "points": "ab"})
 
 
 class TestMatrixCSV:
@@ -224,6 +232,23 @@ class TestDiagnoseCommand:
 
 
 class TestKernelCommands:
+    @pytest.mark.parametrize("argv", [("kernel", "gram"), ("diagnose",)], ids=["gram", "diagnose"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kernel": {"type": "brownian"}, "points": [1e400, 2]}',  # 1e400 parses to inf
+            '{"kernel": {"type": "binomial"}, "points": [1.5, 2.7]}',  # never truncated to [1, 2]
+        ],
+        ids=["brownian-inf", "binomial-fraction"],
+    )
+    def test_points_outside_domain_exit_1(self, argv, text, tmp_path, capsys):
+        doc = tmp_path / "k.json"
+        doc.write_text(text)
+        assert run_cli(*argv, "--input", str(doc)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: labels outside the domain of kernel")
+        assert captured.out == ""
+
     def test_eval_brownian(self, brownian_doc, capsys):
         assert run_cli("kernel", "eval", "--input", brownian_doc, "--x", "3", "--y", "7") == 0
         assert capsys.readouterr().out.strip() == "3"
@@ -445,8 +470,14 @@ class TestTreeCommands:
             ("histogram", "--weights", "geometric:1e-200", "--depth", "4"),
             ("resistance", "--weights", "geometric:1e200", "--w1", "000", "--w2", "001"),
             ("histogram", "--weights", "constant:inf", "--depth", "4"),
+            # r(2) = 1e-320 is subnormal: positive, but 1/r(2) overflows
+            ("resistance", "--weights", "geometric:1e-160", "--w1", "000", "--w2", "001"),
+            ("histogram", "--weights", "geometric:1e-160", "--depth", "3"),
         ],
-        ids=["resistance-underflow", "histogram-underflow", "resistance-overflow", "histogram-inf"],
+        ids=[
+            "resistance-underflow", "histogram-underflow", "resistance-overflow", "histogram-inf",
+            "resistance-subnormal", "histogram-subnormal",
+        ],
     )
     def test_degenerate_level_weights_exit_1(self, argv, capsys):
         assert run_cli("tree", *argv) == 1

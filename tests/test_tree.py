@@ -63,6 +63,12 @@ class TestLevelWeights:
         w = LevelWeights.geometric(0.5)
         assert w.partial_sum(1, 4) == pytest.approx(0.5 + 0.25 + 0.125)
 
+    def test_subnormal_level_has_no_conductance(self):
+        w = LevelWeights.geometric(1e-160)
+        assert w.r(1) == 1e-160
+        with pytest.raises(WeightUndefined, match="level 2"):
+            w.r(2)  # 1e-320 > 0, but 1 / 1e-320 overflows
+
 
 class TestBuildTree:
     def test_smallest_tree(self):
@@ -215,3 +221,8 @@ class TestHistogram:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             energy_histogram(1, LevelWeights.constant(1.0))
+
+    def test_energy_overflow_names_its_level(self):
+        # 1/r = 1e308 is finite, but 2/r + 1/r is not
+        with pytest.raises(WeightUndefined, match="level 1"):
+            energy_histogram(3, LevelWeights.constant(1e-308))
