@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gff
 from .builtin import binomial_eval
-from .core import assemble_gram
+from .core import assemble_gram, check_domain
 from .diagnostics import Filtration, classify, det_ratio_trace, trace
 from .errors import MonotonicityViolation, RKHSKitError
 from .network import Network, delta_norm_sq, green_kernel, resistance
@@ -75,6 +75,7 @@ def _verdict_doc(verdict) -> dict:
 def _cmd_kernel_eval(args, config) -> int:
     kernel, _ = load_kernel_doc(_load_json(args.input))
     x, y = json.loads(args.x), json.loads(args.y)
+    check_domain(kernel, [x, y])
     if kernel.name == "binomial":
         print(binomial_eval(int(x), int(y)))
     else:
@@ -101,8 +102,6 @@ def _cmd_diagnose(args, config) -> int:
     if len(points) == 0:
         raise ValueError("empty point list")
     target = json.loads(args.target) if args.target is not None else points.labels[0]
-    if kernel.name == "binomial":
-        target = int(target)
     # the trace only reports stages containing the target, so lead with it
     labels = list(points.labels)
     if target in points:
@@ -117,7 +116,7 @@ def _cmd_diagnose(args, config) -> int:
     tr = trace(kernel, filtration)
     ratios, ratio_error = None, None
     try:
-        ratios = det_ratio_trace(kernel, filtration, tr.minors)
+        ratios = det_ratio_trace(kernel, filtration, tr)
     except RKHSKitError as err:
         ratio_error = str(err)  # rank-deficient stages have no determinant ratio
     verdict = classify(

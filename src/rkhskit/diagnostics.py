@@ -10,7 +10,7 @@ filtration with its tolerances recorded, never a theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     Kernel,
     PointSet,
     assemble_gram,
+    check_domain,
     log_det,
     projection_norm_sq,
 )
@@ -126,9 +127,9 @@ class FiltrationTrace:
     stage_sizes: tuple
     values: np.ndarray
     exact_values: tuple | None = None
-    det_ratios: np.ndarray | None = None
     verdict: Membership | None = None
-    minors: tuple | None = None   # exact path: leading minors of the last stage's Gram
+    # (gram, t, dets) of the last stage, as read by trace, for det_ratio_trace
+    _last: tuple | None = field(default=None, repr=False, compare=False)
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
@@ -149,19 +150,27 @@ def _reported_stages(filtration: Filtration):
             yield pos, stage
 
 
-def _last_gram(kernel: Kernel, filtration: Filtration, first: PointSet):
-    """Gram of the last stage, assembled once, the target's index in it, and
-    whether the kernel gives the stage ``first`` the same matrix on its own.
-
-    Every stage of a consistent kernel is a leading block of this Gram; a
-    kernel whose entries depend on the set they are assembled over fails the
-    check, and then every stage is assembled on its own."""
+def _last_stage(kernel: Kernel, filtration: Filtration, first: PointSet) -> tuple:
+    """``(gram, t, dets, factor)``: the last stage's Gram, assembled once, the
+    target's index in it, and one factorization of it, which serves every
+    stage as a leading block.  Exact: the leading minors and the target column
+    of one Bareiss pass (:func:`exact.leading_minors`), after a domain check.
+    Float: the log-determinants of the blocks one LAPACK Cholesky serves, and
+    its factor U; a kernel that gives the stage ``first`` a different matrix
+    on its own than this Gram's leading block has no block served."""
     last = filtration.stages[-1]
-    gram = assemble_gram(kernel, last)
-    a = gram.matrix
+    t = last.index(filtration.target)
+    if kernel.is_exact:
+        check_domain(kernel, last)
+        matrix = kernel.exact_gram(last.labels)
+        minors, column = exact.leading_minors(matrix, t)
+        return matrix, t, minors, column
+    a = assemble_gram(kernel, last).matrix
     m = len(first)
-    consistent = m == len(last) or np.array_equal(assemble_gram(kernel, first).matrix, a[:m, :m])
-    return a, last.index(filtration.target), consistent
+    if m < len(a) and not np.array_equal(assemble_gram(kernel, first).matrix, a[:m, :m]):
+        return a, t, np.empty(0), None
+    upper, served = _leading_factor(a)
+    return a, t, _log_dets(upper, served), upper
 
 
 def _leading_factor(matrix: np.ndarray):
@@ -187,64 +196,59 @@ def _log_dets(upper: np.ndarray, served: int) -> np.ndarray:
     return np.cumsum(2.0 * np.log(np.diagonal(upper)[:served]))
 
 
-def _float_values(kernel: Kernel, filtration: Filtration, stages: list) -> list:
+def _float_values(kernel: Kernel, filtration: Filtration, stages: list, last: tuple) -> list:
     """Float projection norms of the target at each reported stage.
 
-    One factor of the last stage's Gram serves a stage of m points when the
-    kernel is consistent on the first reported stage, the factor serves the
-    m-block (:func:`_leading_factor`), and ``zeta_m = L_m^-T c[:m]`` meets the
-    solve contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + max|K_m|)``,
-    with ``c = L^-1 e_t``; its value is then ``sum_{k<m} c_k^2``.  From the
+    The last stage's factor serves a stage of m points when it serves the
+    m-block (:func:`_last_stage`) and ``zeta_m = L_m^-T c[:m]`` meets the solve
+    contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + max|K_m|)``, with
+    ``c = L^-1 e_t``; its value is then ``sum_{k<m} c_k^2``.  From the
     first stage that fails, each stage is assembled and solved on its own by
     the pivoted path, with its semidefinite and not-PSD verdicts.
     """
-    a, t, consistent = _last_gram(kernel, filtration, stages[0])
+    a, t, log_dets, upper = last
+    served = len(log_dets)
     values = []
-    if consistent:
-        upper, served = _leading_factor(a)
-        if served > t:
-            # column-major packed upper triangles: the first m(m+1)/2 entries
-            # pack the leading m-block, so every stage reads a prefix, uncopied
-            packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0]
-            e_t = np.zeros(served)
-            e_t[t] = 1.0
-            c = dtpsv(served, packed_u, e_t, trans=1)
-            running = np.cumsum(c * c)
-            # largest |K| over each leading block, from the lower triangle's row maxima
-            scale = np.maximum.accumulate(np.abs(np.tril(a[:served, :served])).max(axis=1))
-            for m in map(len, stages):
-                if m > served:
-                    break
-                zeta = dtpsv(m, packed_u, c[:m])
-                resid = dspmv(m, 1.0, packed_k, zeta, beta=-1.0, y=e_t[:m])
-                if not np.abs(resid).max() <= SOLVE_RTOL * (1.0 + scale[m - 1]):
-                    break
-                values.append(float(running[m - 1]))
+    if served > t:
+        # column-major packed upper triangles: the first m(m+1)/2 entries
+        # pack the leading m-block, so every stage reads a prefix, uncopied
+        packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0]
+        e_t = np.zeros(served)
+        e_t[t] = 1.0
+        c = dtpsv(served, packed_u, e_t, trans=1)
+        running = np.cumsum(c * c)
+        # largest |K| over each leading block, from the lower triangle's row maxima
+        scale = np.maximum.accumulate(np.abs(np.tril(a[:served, :served])).max(axis=1))
+        for m in map(len, stages):
+            if m > served:
+                break
+            zeta = dtpsv(m, packed_u, c[:m])
+            resid = dspmv(m, 1.0, packed_k, zeta, beta=-1.0, y=e_t[:m])
+            if not np.abs(resid).max() <= SOLVE_RTOL * (1.0 + scale[m - 1]):
+                break
+            values.append(float(running[m - 1]))
     for stage in stages[len(values):]:
         values.append(projection_norm_sq(assemble_gram(kernel, stage), filtration.target))
     return values
 
 
-def _float_det_ratios(kernel: Kernel, filtration: Filtration, stages: list) -> list:
+def _float_det_ratios(kernel: Kernel, filtration: Filtration, stages: list, last: tuple) -> list:
     """Float det(target-deleted minor) / det(K) at each reported stage.
 
     The stages and their target-deleted minors are the leading blocks of the
     last stage's Gram and of that Gram with the target's row and column
     deleted, so one factor of each gives every log-determinant as a running
-    sum of ``2 log U_kk``.  A stage is served while the kernel is consistent
-    and both factors serve their blocks; from the first stage that fails, its
-    matrices are assembled and factored on their own by the pivoted path.
+    sum of ``2 log U_kk``; ``last`` carries the first.  A stage is served
+    while both factors serve their blocks; from the first stage that fails,
+    its matrices are assembled and factored on their own by the pivoted path.
     """
-    a, t, consistent = _last_gram(kernel, filtration, stages[0])
+    a, t, full = last[:3]
     ratios = []
-    if consistent:
-        full = _log_dets(*_leading_factor(a))
+    if len(full):
         minor = np.delete(np.delete(a, t, axis=0), t, axis=1)
         rest = np.concatenate([[0.0], _log_dets(*_leading_factor(minor))])
-        for m in map(len, stages):
-            if m > len(full) or m > len(rest):
-                break
-            ratios.append(math.exp(rest[m - 1] - full[m - 1]))
+        served = min(len(full), len(rest))
+        ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in map(len, stages) if m <= served]
     for stage in stages[len(ratios):]:
         others = [x for x in stage if x != filtration.target]
         ld_minor = log_det(assemble_gram(kernel, others)) if others else 0.0
@@ -252,48 +256,38 @@ def _float_det_ratios(kernel: Kernel, filtration: Filtration, stages: list) -> l
     return ratios
 
 
-def _exact_last_stage(filtration: Filtration, kernel: Kernel):
-    """Exact Gram of the last stage and the target's index in it; every
-    stage is a leading block of this matrix."""
-    last = filtration.stages[-1]
-    return kernel.exact_gram(last.labels), last.index(filtration.target)
-
-
 def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     """Projection norms of the target over every stage containing it.
 
     Every stage is a leading block of the last stage's Gram, so one
-    factorization of that Gram serves them all.  Kernels with an exact
-    integer path are solved in rational arithmetic and carry no rounding at
-    all: one fraction-free elimination of the last stage
-    (:func:`exact.leading_minors`) gives every stage's value as a running sum
-    of exact increments, and its leading minors travel in the trace's
-    ``minors`` for :func:`det_ratio_trace`.  A zero leading minor raises
-    :class:`SingularGram`.  Float stages are read from one LAPACK Cholesky
-    factor of the last stage, each checked against the pivot threshold and
-    the solve's residual contract; from the first stage that fails a check,
-    stages are assembled and solved on their own by the pivoted path.  A
-    float value therefore carries the rounding of the whole factor, within
+    factorization of that Gram (:func:`_last_stage`) serves them all; the
+    trace keeps the Gram and its determinants for :func:`det_ratio_trace`.
+    Kernels with an exact integer path carry no rounding at all: one
+    fraction-free elimination gives every stage's value as a running sum of
+    exact increments, and a zero leading minor raises :class:`SingularGram`.
+    Float stages are read from one LAPACK Cholesky factor, each checked
+    against the pivot threshold and the solve's residual contract; from the
+    first stage that fails a check, stages are assembled and solved on their
+    own by the pivoted path.  A float value therefore carries the rounding of the whole factor, within
     the residual contract, and is not bit-identical to a solve of that stage
     on its own.
     """
     reported = list(_reported_stages(filtration))
     stages = [stage for _, stage in reported]
     sizes = [len(stage) for stage in stages]
-    exact_values = minors = None
+    last = _last_stage(kernel, filtration, stages[0])
+    exact_values = None
     if kernel.is_exact:
-        matrix, t = _exact_last_stage(filtration, kernel)
-        minors, column = exact.leading_minors(matrix, t)
-        dets = [1] + minors       # dets[m] = det of the first m points
+        _, t, minors, column = last
+        dets = [1, *minors]       # dets[m] = det of the first m points
         norms, acc = {}, Fraction(0)
         for k in range(t, len(minors)):
             acc += Fraction(column[k] ** 2, dets[k] * dets[k + 1])
             norms[k + 1] = acc
         exact_values = tuple(norms[m] for m in sizes)
         values = [float(v) for v in exact_values]
-        minors = tuple(minors)
     else:
-        values = _float_values(kernel, filtration, stages)
+        values = _float_values(kernel, filtration, stages, last)
     _enforce_monotone(values)
     return FiltrationTrace(
         target=filtration.target,
@@ -301,11 +295,11 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
         stage_sizes=tuple(sizes),
         values=np.asarray(values, dtype=float),
         exact_values=exact_values,
-        minors=minors,
+        _last=last[:3],
     )
 
 
-def det_ratio_trace(kernel: Kernel, filtration: Filtration, minors=None) -> np.ndarray:
+def det_ratio_trace(kernel: Kernel, filtration: Filtration, trace=None) -> np.ndarray:
     """Minor-over-determinant values per reported stage.
 
     For strictly positive-definite stages, det(target-deleted minor) / det(K)
@@ -314,25 +308,25 @@ def det_ratio_trace(kernel: Kernel, filtration: Filtration, minors=None) -> np.n
     target-deleted minors form two nested families, the leading blocks of the
     last stage's Gram and of that Gram without the target's row and column.
     On the exact path each family's determinants are the leading minors of
-    one elimination; ``minors``, the exact leading minors of the last stage
-    as carried by ``trace(kernel, filtration).minors``, saves the first
-    elimination.  On the float path each family is read from one LAPACK
-    Cholesky factor, under the same pivot threshold and fallback as
-    :func:`trace`.
+    one elimination, on the float path they are read from one LAPACK Cholesky
+    factor, under the same pivot threshold and fallback as :func:`trace`.
+    ``trace``, the result of ``trace(kernel, filtration)``, carries the first
+    family, so only the target-deleted Gram is factored; a trace whose target
+    or stage sizes differ from the filtration's raises ``ValueError``.
     """
     stages = [stage for _, stage in _reported_stages(filtration)]
+    sizes = tuple(map(len, stages))
+    if trace is not None and (trace.target, trace.stage_sizes) != (filtration.target, sizes):
+        raise ValueError("trace does not belong to this filtration: its target or stage sizes differ")
+    last = getattr(trace, "_last", None) or _last_stage(kernel, filtration, stages[0])
     if kernel.is_exact:
-        matrix, t = _exact_last_stage(filtration, kernel)
+        matrix, t, minors = last[:3]
         keep = [i for i in range(len(matrix)) if i != t]
-        if minors is None:
-            minors = exact.leading_minors(matrix)[0]
         dets = [1, *minors]
         rest = [1] + exact.leading_minors([[matrix[i][j] for j in keep] for i in keep])[0]
         # a stage of m points has its target-deleted minor on the first m - 1 others
-        return np.asarray(
-            [float(Fraction(rest[len(s) - 1], dets[len(s)])) for s in stages], dtype=float
-        )
-    return np.asarray(_float_det_ratios(kernel, filtration, stages), dtype=float)
+        return np.asarray([float(Fraction(rest[m - 1], dets[m])) for m in sizes], dtype=float)
+    return np.asarray(_float_det_ratios(kernel, filtration, stages, last), dtype=float)
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -187,17 +187,19 @@ class Network:
             with self._lock:
                 ground = self._grounded
                 if ground is None:
-                    n = len(self.vertices)
+                    n, b = len(self.vertices) - 1, self._base_index
                     u, v = self._ends.T
                     c = self._cond
+                    # the Laplacian off the base's row and column, in grounded indices
+                    rows, cols = np.concatenate([u, v, u, v]), np.concatenate([u, v, v, u])
+                    keep = (rows != b) & (cols != b)
+                    rows, cols = rows[keep], cols[keep]
                     lap = scipy.sparse.csc_matrix(
-                        (np.concatenate([c, c, -c, -c]),
-                         (np.concatenate([u, v, u, v]), np.concatenate([u, v, v, u]))),
+                        (np.concatenate([c, c, -c, -c])[keep], (rows - (rows > b), cols - (cols > b))),
                         shape=(n, n),
                     )
-                    keep = self._grounded_indices()
                     try:
-                        ground = scipy.sparse.linalg.splu(lap[keep][:, keep].tocsc())
+                        ground = scipy.sparse.linalg.splu(lap)
                     except RuntimeError as err:  # pragma: no cover
                         raise Disconnected(f"grounded system is singular: {err}") from err
                     self._grounded = ground

@@ -1,5 +1,6 @@
 """Filtration traces and membership classification."""
 
+import csv
 import json
 import math
 
@@ -11,12 +12,15 @@ from scipy.linalg.lapack import dpotrf
 import rkhskit.cli as cli
 import rkhskit.core as core
 import rkhskit.diagnostics as diagnostics
+import rkhskit.exact as exact
 from _fractions import fraction_det, fraction_inverse_diagonal
 from rkhskit import (
     BinomialKernel,
     BrownianKernel,
+    BridgeKernel,
     Converging,
     Diverging,
+    DomainMismatch,
     Filtration,
     FiltrationTrace,
     Inconclusive,
@@ -24,6 +28,7 @@ from rkhskit import (
     MonotonicityViolation,
     NotPositiveSemidefinite,
     PointSet,
+    RKHSKitError,
     SingularGram,
     Stabilized,
     TableKernel,
@@ -125,6 +130,13 @@ class TestTrace:
         assert calls == [60]
 
 
+class SetScaledKernel(BrownianKernel):
+    # entries depend on the set they are assembled over, not only on their
+    # pair, yet the norms still grow
+    def gram(self, labels):
+        return super().gram(labels) * (1.0 + 1.0 / len(labels))
+
+
 def _count_pivoted(monkeypatch):
     calls = []
     original = core._pivoted_cholesky
@@ -150,12 +162,6 @@ class TestOneFactorFallback:
     holds; from the first stage that fails one, stages are solved on their own."""
 
     def test_inconsistent_kernel_solves_every_stage_on_its_own(self, monkeypatch):
-        class SetScaledKernel(BrownianKernel):
-            # entries depend on the set they are assembled over, not only on
-            # their pair, yet the norms still grow
-            def gram(self, labels):
-                return super().gram(labels) * (1.0 + 1.0 / len(labels))
-
         kernel = SetScaledKernel()
         filtration = Filtration.prefixes([1.0, 2.0, 3.5, 5.0], target=2.0)
         want = _fresh_stage_values(kernel, filtration)
@@ -256,6 +262,94 @@ class TestOneFactorFallback:
         det_ratio_trace(kernel, filtration)
         assert calls == []
         assert len(assembled) <= 4
+
+
+def _ratios_or_error(kernel, filtration, *args):
+    try:
+        return det_ratio_trace(kernel, filtration, *args).tolist()
+    except RKHSKitError as err:
+        return type(err), str(err)
+
+
+def _shared_stage_cases():
+    rng = np.random.default_rng(62)
+    line = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 80)))]
+    unit = [float(v) for v in rng.permutation(np.linspace(0.005, 0.995, 200))]
+    semidefinite = TableKernel(range(4), [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 2]])
+    return {
+        "brownian-prefix": (BrownianKernel(), Filtration.prefixes(line, target=line[0])),
+        "bridge-doubling": (BridgeKernel(), Filtration.doubling(unit, target=unit[0])),
+        "binomial": (BinomialKernel(), Filtration.prefixes([3, *range(3), *range(4, 15)], target=3)),
+        "semidefinite-mid": (semidefinite, Filtration.prefixes(range(4), target=0)),
+        "late-pivot": (BrownianKernel(), Filtration.prefixes([1.0, 2.0, 3.0, 4.0, 2.0 + 1e-13, 5.0])),
+        "inconsistent": (SetScaledKernel(), Filtration.prefixes([1.0, 2.0, 3.5, 5.0], target=2.0)),
+    }
+
+
+SHARED_STAGE_CASES = _shared_stage_cases()
+
+
+class TestSharedLastStage:
+    """``det_ratio_trace`` given a trace reads the last stage that ``trace``
+    assembled and factored, and gives the same ratios bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(SHARED_STAGE_CASES))
+    def test_ratios_with_and_without_trace_identical(self, case):
+        kernel, filtration = SHARED_STAGE_CASES[case]
+        tr = trace(kernel, filtration)
+        assert _ratios_or_error(kernel, filtration, tr) == _ratios_or_error(kernel, filtration)
+
+    def test_mismatched_trace_raises(self):
+        pts = [1.0, 2.0, 3.0, 4.0, 5.0]
+        kernel = BrownianKernel()
+        tr = trace(kernel, Filtration.prefixes(pts))
+        for other in (Filtration.prefixes(pts, target=2.0), Filtration.doubling(pts)):
+            with pytest.raises(ValueError, match="does not belong to this filtration"):
+                det_ratio_trace(kernel, other, tr)
+
+    def _diagnose(self, tmp_path, kind, points, *flags):
+        doc = tmp_path / "k.json"
+        doc.write_text(json.dumps({"kernel": {"type": kind}, "points": points}))
+        out = tmp_path / "trace.csv"
+        assert cli.main(["diagnose", "--input", str(doc), "--out", str(out), *flags]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()[1:-1]))
+        assert all(row[3] for row in rows)
+
+    def test_float_diagnose_assembles_and_factors_last_stage_once(self, tmp_path, monkeypatch):
+        assembled, factored = [], []
+        assemble, potrf = diagnostics.assemble_gram, diagnostics.dpotrf
+
+        def counting_assemble(kernel, points):
+            assembled.append(len(points))
+            return assemble(kernel, points)
+
+        def counting_potrf(matrix, **kwargs):
+            factored.append(len(matrix))
+            return potrf(matrix, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "assemble_gram", counting_assemble)
+        monkeypatch.setattr(diagnostics, "dpotrf", counting_potrf)
+        self._diagnose(tmp_path, "bridge", [k / 41 for k in range(1, 41)], "--stages", "doubling")
+        assert assembled == [40, 1]     # the last stage, then the consistency check
+        assert factored == [40, 39]     # the stage, then its target-deleted Gram
+
+    def test_exact_diagnose_assembles_and_eliminates_last_stage_once(self, tmp_path, monkeypatch):
+        grams, eliminations = [], []
+        exact_gram, leading_minors = BinomialKernel.exact_gram, exact.leading_minors
+
+        def counting_gram(kernel, labels):
+            grams.append(len(labels))
+            return exact_gram(kernel, labels)
+
+        def counting_minors(matrix, target=None):
+            eliminations.append(len(matrix))
+            return leading_minors(matrix, target)
+
+        monkeypatch.setattr(BinomialKernel, "exact_gram", counting_gram)
+        monkeypatch.setattr(exact, "leading_minors", counting_minors)
+        self._diagnose(tmp_path, "binomial", list(range(12)), "--target", "3")
+        assert grams == [12]
+        assert eliminations == [12, 11]
 
 
 class TestClassify:
@@ -397,6 +491,14 @@ class TestExactRoute:
             assert value == fraction_inverse_diagonal(gram, t)
             minor = [[row[j] for j in range(m) if j != t] for i, row in enumerate(gram) if i != t]
             assert ratio == float(fraction_det(minor) / fraction_det(gram))
+
+    @pytest.mark.parametrize("points", [(0, 1.5, 3), (0, -1, 3)], ids=["fraction", "negative"])
+    def test_points_outside_domain_raise(self, points):
+        # 1.5 is never truncated to 1, and -1 never reaches math.comb
+        filtration = Filtration.prefixes(points)
+        for run in (trace, det_ratio_trace):
+            with pytest.raises(DomainMismatch, match="nonnegative integers"):
+                run(BinomialKernel(), filtration)
 
     @pytest.mark.parametrize("points, target", [((1, 2, 3, 4), 1), ((1, 3, 0), 0)])
     def test_singular_psd_gram_raises(self, points, target):

@@ -184,6 +184,20 @@ class TestDiagnoseCommand:
         verdict = json.loads(lines[-1])
         assert verdict["verdict"] == "Diverging"
 
+    def test_binomial_target_resolves_through_the_points(self, tmp_path, capsys):
+        # 2.5 is no point of the document and is never truncated to 2;
+        # 2.0 is the point 2 and gives its table byte for byte
+        doc = tmp_path / "bin.json"
+        doc.write_text(json.dumps({"kernel": {"type": "binomial"}, "points": list(range(8))}))
+        assert run_cli("diagnose", "--input", str(doc), "--target", "2.5", "--k", "3") == 1
+        captured = capsys.readouterr()
+        assert "never enters the filtration" in captured.err
+        assert captured.out == ""
+        assert run_cli("diagnose", "--input", str(doc), "--target", "2", "--k", "3") == 0
+        want = capsys.readouterr().out
+        assert run_cli("diagnose", "--input", str(doc), "--target", "2.0", "--k", "3") == 0
+        assert capsys.readouterr().out == want
+
     def test_empty_points_is_input_error(self, tmp_path, capsys):
         doc = tmp_path / "empty.json"
         doc.write_text(json.dumps({"kernel": {"type": "brownian"}, "points": []}))
@@ -258,6 +272,19 @@ class TestKernelCommands:
         doc.write_text(json.dumps({"kernel": {"type": "binomial"}, "points": [0]}))
         assert run_cli("kernel", "eval", "--input", str(doc), "--x", "2", "--y", "3") == 0
         assert capsys.readouterr().out.strip() == "10"
+
+    @pytest.mark.parametrize(
+        "kind, x, y",
+        [("binomial", "2.5", "3"), ("brownian", "-1", "2"), ("brownian", "2", "Infinity")],
+        ids=["binomial-fraction", "brownian-negative", "brownian-inf"],
+    )
+    def test_eval_outside_domain_exit_1(self, kind, x, y, tmp_path, capsys):
+        doc = tmp_path / "k.json"
+        doc.write_text(json.dumps({"kernel": {"type": kind}, "points": [1]}))
+        assert run_cli("kernel", "eval", "--input", str(doc), f"--x={x}", f"--y={y}") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: labels outside the domain of kernel")
+        assert captured.out == ""
 
     def test_gram_csv(self, tmp_path):
         doc = tmp_path / "k.json"
