@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotri, dpotrs, dpstrf
 
 from .errors import DomainMismatch, NotInRange, NotPositiveSemidefinite, SingularGram
 
@@ -190,60 +190,44 @@ PDResult = StrictlyPD | SemiDefinite | NotPSD
 @dataclass(frozen=True)
 class _Factor:
     perm: np.ndarray       # perm[i] = original index eliminated at step i
-    lower: np.ndarray      # (n, rank) trapezoidal factor, rows in pivot order
-    pivots: np.ndarray
+    upper: np.ndarray      # (rank, n) trapezoidal factor U, columns in pivot order
     status: PDResult
 
 
 def _pivoted_cholesky(matrix: np.ndarray) -> _Factor:
-    """Outer-product Cholesky with diagonal pivoting.
+    """Cholesky with diagonal pivoting, ``U^T U = K[perm][:, perm]``, by one
+    LAPACK ``dpstrf`` (Lucas, LAWN 161).
 
-    Eliminates the largest remaining diagonal entry first.  Stops early when
-    no pivot exceeds the relative threshold; the trailing block then decides
-    between a semidefinite verdict (block numerically zero) and an indefinite
-    one (anything else, since a PSD matrix with zero diagonal has zero rows).
+    Eliminates the largest remaining diagonal entry first and stops when none
+    exceeds the relative threshold.  LAPACK leaves the trailing block
+    un-updated, so its Schur complement is formed once; it decides between a
+    semidefinite verdict (block numerically zero) and an indefinite one
+    (anything else, since a PSD matrix with zero diagonal has zero rows).
+    The upper factor is used because its bits and pivot order do not depend
+    on the number of BLAS threads; the lower factor's do.
     """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    diag = np.diagonal(matrix)
-    scale = max(float(diag.max()), 0.0) if n else 0.0
-    tau = PIVOT_RTOL * scale
-    off_tol = max(tau, PIVOT_RTOL * float(np.abs(matrix).max())) if n else 0.0
-    perm = np.arange(n)
-    pivots = []
-    status = None
-    for i in range(n):
-        rem = np.diagonal(a)[i:]
-        j = i + int(np.argmax(rem))
-        piv = a[j, j]
-        if piv <= tau:
-            if piv < -tau:
-                status = NotPSD(witness=int(perm[j]))
-                break
-            tail = a[i:, i:]
-            flat = int(np.argmax(np.abs(tail)))
-            p, q = divmod(flat, n - i)
-            if abs(tail[p, q]) > off_tol:
-                status = NotPSD(witness=int(perm[i + max(p, q)]))
-            else:
-                status = SemiDefinite(rank=i)
-            break
-        if j != i:
-            a[[i, j], :] = a[[j, i], :]
-            a[:, [i, j]] = a[:, [j, i]]
-            perm[[i, j]] = perm[[j, i]]
-        pivots.append(piv)
-        r = np.sqrt(piv)
-        a[i, i] = r
-        if i + 1 < n:
-            a[i + 1:, i] /= r
-            a[i + 1:, i + 1:] -= np.outer(a[i + 1:, i], a[i + 1:, i])
-        a[i, i + 1:] = 0.0
-    if status is None:
-        status = StrictlyPD(logdet=float(np.sum(np.log(pivots))) if n else 0.0)
-    rank = len(pivots)
-    lower = np.tril(a)[:, :rank]
-    return _Factor(perm=perm, lower=lower, pivots=np.asarray(pivots), status=status)
+    n = matrix.shape[0]
+    if n == 0:
+        return _Factor(perm=np.arange(0), upper=np.zeros((0, 0)), status=StrictlyPD(logdet=0.0))
+    tau = PIVOT_RTOL * max(float(np.diagonal(matrix).max()), 0.0)
+    off_tol = max(tau, PIVOT_RTOL * float(np.abs(matrix).max()))
+    c, piv, rank, _ = dpstrf(matrix.T, tol=tau, lower=0)
+    perm = piv - 1
+    upper = np.triu(c[:rank])
+    if rank == n:
+        logdet = 2.0 * float(np.sum(np.log(np.diagonal(upper))))
+        return _Factor(perm=perm, upper=upper, status=StrictlyPD(logdet=logdet))
+    rest = perm[rank:]
+    tail = matrix[np.ix_(rest, rest)] - upper[:, rank:].T @ upper[:, rank:]
+    j = int(np.argmax(np.diagonal(tail)))
+    p, q = divmod(int(np.argmax(np.abs(tail))), n - rank)
+    if tail[j, j] < -tau:
+        status = NotPSD(witness=int(rest[j]))
+    elif abs(tail[p, q]) > off_tol:
+        status = NotPSD(witness=int(rest[max(p, q)]))
+    else:
+        status = SemiDefinite(rank=rank)
+    return _Factor(perm=perm, upper=upper, status=status)
 
 
 class GramMatrix:
@@ -332,17 +316,16 @@ def check_pd(gram: GramMatrix) -> PDResult:
 
 
 def _triangular_solve(fact: _Factor, b: np.ndarray) -> np.ndarray:
-    bp = b[fact.perm]
-    y = solve_triangular(fact.lower, bp, lower=True)
-    z = solve_triangular(fact.lower.T, y, lower=False)
+    z, _ = dpotrs(fact.upper, b[fact.perm], lower=0)
     out = np.empty_like(z)
     out[fact.perm] = z
     return out
 
 
 def _unpermuted_factor(fact: _Factor) -> np.ndarray:
-    lo = np.empty_like(fact.lower)
-    lo[fact.perm] = fact.lower
+    """The (n, rank) factor L in point order, ``L L^T = K`` on its span."""
+    lo = np.empty(fact.upper.shape[::-1])
+    lo[fact.perm] = fact.upper.T
     return lo
 
 
@@ -398,11 +381,11 @@ def dual_basis(gram: GramMatrix) -> list[CoefficientVector]:
     if not isinstance(fact.status, StrictlyPD):
         raise SingularGram(f"dual basis needs a strictly PD Gram matrix, got {fact.status}")
     n = gram.size
-    linv = solve_triangular(fact.lower, np.eye(n), lower=True)
-    kinv_p = linv.T @ linv
+    # dpotri fills the upper triangle of K^-1 in pivot order; mirror it
+    inv, _ = dpotri(fact.upper, lower=0)
+    kinv_p = np.triu(inv) + np.triu(inv, 1).T
     kinv = np.empty_like(kinv_p)
     kinv[np.ix_(fact.perm, fact.perm)] = kinv_p
-    kinv = 0.5 * (kinv + kinv.T)
     return [
         CoefficientVector(gram.points, kinv[r], role="dual-basis")
         for r in range(n)
@@ -410,7 +393,7 @@ def dual_basis(gram: GramMatrix) -> list[CoefficientVector]:
 
 
 def log_det(gram: GramMatrix) -> float:
-    """Log-determinant from the factorization pivots."""
+    """Log-determinant from the factor's diagonal."""
     status = gram.pd()
     if not isinstance(status, StrictlyPD):
         raise SingularGram(f"log_det needs a strictly PD Gram matrix, got {status}")

@@ -128,7 +128,7 @@ class FiltrationTrace:
     values: np.ndarray
     exact_values: tuple | None = None
     verdict: Membership | None = None
-    # (gram, t, dets) of the last stage, as read by trace, for det_ratio_trace
+    # (kernel, (gram, t, dets)) of the last stage, as read by trace, for det_ratio_trace
     _last: tuple | None = field(default=None, repr=False, compare=False)
 
     def increments(self) -> np.ndarray:
@@ -295,7 +295,7 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
         stage_sizes=tuple(sizes),
         values=np.asarray(values, dtype=float),
         exact_values=exact_values,
-        _last=last[:3],
+        _last=(kernel, last[:3]),
     )
 
 
@@ -312,13 +312,16 @@ def det_ratio_trace(kernel: Kernel, filtration: Filtration, trace=None) -> np.nd
     factor, under the same pivot threshold and fallback as :func:`trace`.
     ``trace``, the result of ``trace(kernel, filtration)``, carries the first
     family, so only the target-deleted Gram is factored; a trace whose target
-    or stage sizes differ from the filtration's raises ``ValueError``.
+    or stage sizes differ from the filtration's raises ``ValueError``, and a
+    trace made with another kernel object has its last stage assembled again.
     """
     stages = [stage for _, stage in _reported_stages(filtration)]
     sizes = tuple(map(len, stages))
     if trace is not None and (trace.target, trace.stage_sizes) != (filtration.target, sizes):
         raise ValueError("trace does not belong to this filtration: its target or stage sizes differ")
-    last = getattr(trace, "_last", None) or _last_stage(kernel, filtration, stages[0])
+    traced, last = getattr(trace, "_last", None) or (None, None)
+    if traced is not kernel:
+        last = _last_stage(kernel, filtration, stages[0])
     if kernel.is_exact:
         matrix, t, minors = last[:3]
         keep = [i for i in range(len(matrix)) if i != t]

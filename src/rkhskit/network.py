@@ -190,14 +190,15 @@ class Network:
                     n, b = len(self.vertices) - 1, self._base_index
                     u, v = self._ends.T
                     c = self._cond
-                    # the Laplacian off the base's row and column, in grounded indices
-                    rows, cols = np.concatenate([u, v, u, v]), np.concatenate([u, v, v, u])
-                    keep = (rows != b) & (cols != b)
-                    rows, cols = rows[keep], cols[keep]
-                    lap = scipy.sparse.csc_matrix(
-                        (np.concatenate([c, c, -c, -c])[keep], (rows - (rows > b), cols - (cols > b))),
-                        shape=(n, n),
-                    )
+                    # the Laplacian off the base's row and column, in grounded
+                    # indices; each diagonal entry is summed once, in edge order,
+                    # so the sparse conversion has no duplicates to sum in an
+                    # order of its own
+                    diag = np.delete(np.bincount(np.concatenate([u, v]), np.concatenate([c, c]), n + 1), b)
+                    off = (u != b) & (v != b)
+                    u, v, c = u[off] - (u[off] > b), v[off] - (v[off] > b), c[off]
+                    rows, cols = np.concatenate([np.arange(n), u, v]), np.concatenate([np.arange(n), v, u])
+                    lap = scipy.sparse.csc_matrix((np.concatenate([diag, -c, -c]), (rows, cols)), shape=(n, n))
                     try:
                         ground = scipy.sparse.linalg.splu(lap)
                     except RuntimeError as err:  # pragma: no cover

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rkhskit import (
     BridgeKernel,
@@ -27,6 +28,7 @@ from rkhskit import (
     projection_norm_sq,
     solve_delta,
 )
+from rkhskit.core import _unpermuted_factor
 
 
 def random_pd_gram(rng, n):
@@ -139,6 +141,30 @@ class TestCheckPD:
         verdict = check_pd(gram)
         assert isinstance(verdict, StrictlyPD)
         assert verdict.logdet == pytest.approx(0.0, abs=1e-14)
+
+
+class TestIntegerGramVerdicts:
+    """``H H^T`` for a small integer ``H`` is exact in floating point and has
+    the rank of ``H``: strictly PD at full rank, semidefinite below it."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_verdict_and_rank_match_the_integer_factor(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+        r = data.draw(st.integers(min_value=1, max_value=12), label="r")
+        entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * r, max_size=n * r))
+        h = np.asarray(entries, dtype=float).reshape(n, r)
+        gram = GramMatrix(PointSet(tuple(range(n))), h @ h.T)
+        verdict = check_pd(gram)
+        rank = int(np.linalg.matrix_rank(h))
+        if rank == n:
+            assert isinstance(verdict, StrictlyPD)
+        else:
+            assert verdict == SemiDefinite(rank=rank)
+        # the factor the sampler and the semidefinite solve read spans K
+        lo = _unpermuted_factor(gram.factorization())
+        bound = 1e-12 * (1.0 + float(np.abs(gram.matrix).max()))
+        np.testing.assert_allclose(lo @ lo.T, gram.matrix, rtol=0, atol=bound)
 
 
 class TestSolveDelta:

@@ -307,6 +307,13 @@ class TestSharedLastStage:
             with pytest.raises(ValueError, match="does not belong to this filtration"):
                 det_ratio_trace(kernel, other, tr)
 
+    def test_trace_of_another_kernel_is_not_reused(self):
+        # the Brownian trace's Gram must not stand in for the bridge kernel's
+        f = Filtration.prefixes([0.2, 0.4, 0.6])
+        ratios = det_ratio_trace(BridgeKernel(), f, trace(BrownianKernel(), f))
+        np.testing.assert_allclose(ratios, [6.25, 10.0, 10.0], rtol=1e-12)
+        assert ratios.tobytes() == det_ratio_trace(BridgeKernel(), f).tobytes()
+
     def _diagnose(self, tmp_path, kind, points, *flags):
         doc = tmp_path / "k.json"
         doc.write_text(json.dumps({"kernel": {"type": kind}, "points": points}))

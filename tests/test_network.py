@@ -3,6 +3,7 @@ resistance metric."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from _graphs import random_connected_network, random_tree_network, resistance_matrix
 from rkhskit import (
@@ -373,6 +374,28 @@ class TestEstimates:
                 energy_inner(net, f1, f1) + energy_inner(net, f2, f2)
             )
             assert lhs <= cap + 1e-9 * (1 + cap)
+
+
+class TestGroundedAssembly:
+    def test_diagonal_does_not_depend_on_the_base(self, monkeypatch):
+        # every column of a complete 40-vertex graph holds more entries than
+        # a sparse format conversion sorts stably, so the diagonal sums must
+        # not be left to it
+        rng = np.random.default_rng(40)
+        n = 40
+        edges = [(i, j, float(rng.uniform(0.5, 2.0))) for i in range(n) for j in range(i + 1, n)]
+        factored = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: factored.append(a) or splu(a))
+        diagonals = {}
+        for base in (0, 17, 39):
+            Network(range(n), base, edges).grounded_solve(np.ones(n - 1))
+            diagonals[base] = np.insert(factored[-1].diagonal(), base, np.nan)
+        for b1 in diagonals:
+            for b2 in diagonals:
+                keep = np.ones(n, dtype=bool)
+                keep[[b1, b2]] = False
+                assert diagonals[b1][keep].tobytes() == diagonals[b2][keep].tobytes(), (b1, b2)
 
 
 class TestConcurrency:
