@@ -4,7 +4,7 @@ Subcommands: ``kernel eval|gram``, ``diagnose``, ``network
 green|resistance|delta-norm``, ``gff sample|check``, ``tree
 histogram|resistance``, and ``reproduce <name>``.  Options may come from a
 JSON config file via ``--config``; explicit flags win.  Exit codes: 0 ok,
-1 bad input, 2 numerical breakdown (monotonicity violation), 3 a
+1 bad input or usage, 2 numerical breakdown (monotonicity violation), 3 a
 reproduction check failed.
 """
 
@@ -36,6 +36,7 @@ EXIT_NUMERICAL = 2
 EXIT_REPRODUCE = 3
 
 DEFAULT_SEED = 42
+STAGES = ("prefix", "doubling")
 
 
 def _load_json(path: str):
@@ -97,6 +98,9 @@ def _cmd_kernel_gram(args, config) -> int:
 
 
 def _cmd_diagnose(args, config) -> int:
+    stages = _opt(args, config, "stages", "prefix")
+    if stages not in STAGES:  # argparse's choices guard only the flag
+        raise ValueError(f"unknown stages {stages!r}; choose from {list(STAGES)}")
     doc = _load_json(args.input)
     kernel, points = load_kernel_doc(doc)
     if len(points) == 0:
@@ -109,7 +113,6 @@ def _cmd_diagnose(args, config) -> int:
         labels.remove(canonical)
         labels.insert(0, canonical)
         target = canonical
-    stages = _opt(args, config, "stages", "prefix")
     filtration = (
         Filtration.doubling(labels, target) if stages == "doubling" else Filtration.prefixes(labels, target)
     )
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=_cmd_diagnose)
     diag.add_argument("--input", required=True, help="kernel document (JSON)")
     diag.add_argument("--target", help="target point (JSON literal); default: first point")
-    diag.add_argument("--stages", choices=["prefix", "doubling"])
+    diag.add_argument("--stages", choices=STAGES)
     diag.add_argument("--tau-stab", type=float)
     diag.add_argument("--tau-div", type=float)
     diag.add_argument("--k", type=int)
@@ -335,7 +338,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 2 on a usage error, the code for numerical breakdown;
+        # --help exits 0
+        if err.code == 0:
+            raise
+        return EXIT_INPUT
     config = {}
     if args.config:
         try:

@@ -10,6 +10,8 @@ filtration with its tolerances recorded, never a theorem.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,46 +41,45 @@ MONOTONE_RTOL = 1e-9
 class Filtration:
     """Nested point sets F_1 < F_2 < ... with a distinguished target point.
 
-    Stages must extend each other as prefixes.  The target may enter late;
-    only stages containing it are reported by :func:`trace`.
+    Stage i is the first ``sizes[i]`` points of ``points``: the sizes increase
+    strictly from at least 1 up to ``len(points)``.  The target may enter
+    late; only stages containing it are reported by :func:`trace`.
     """
 
-    stages: tuple
+    points: PointSet
+    sizes: tuple
     target: object
 
     def __post_init__(self):
-        stages = tuple(PointSet.of(s) for s in self.stages)
-        if not stages:
-            raise ValueError("a filtration needs at least one stage")
-        for a, b in zip(stages, stages[1:]):
-            if len(b) <= len(a) or b.labels[: len(a)] != a.labels:
-                raise ValueError("stages must strictly extend the previous stage as prefixes")
-        if self.target not in stages[-1]:
+        points = PointSet.of(self.points)
+        sizes = tuple(map(operator.index, self.sizes))
+        if not (sizes and sizes[0] >= 1 and sizes[-1] == len(points)
+                and all(a < b for a, b in zip(sizes, sizes[1:]))):
+            raise ValueError(f"stage sizes must increase strictly from 1 or more to {len(points)}")
+        if self.target not in points:
             raise ValueError(f"target {self.target!r} never enters the filtration")
-        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "sizes", sizes)
+
+    @property
+    def stages(self) -> tuple:
+        """Each stage as its own point set, built on every read."""
+        return tuple(self.points.prefix(m) for m in self.sizes)
 
     @classmethod
     def prefixes(cls, points, target=None) -> "Filtration":
         """One new point per stage, in the given order."""
         pts = PointSet.of(points)
-        if target is None:
-            target = pts.labels[0]
-        stages = tuple(pts.prefix(n) for n in range(1, len(pts) + 1))
-        return cls(stages, target)
+        return cls(pts, range(1, len(pts) + 1), pts.labels[0] if target is None else target)
 
     @classmethod
     def doubling(cls, points, target=None) -> "Filtration":
         """Stage sizes 1, 2, 4, ... for asymptotic growth fits."""
         pts = PointSet.of(points)
-        if target is None:
-            target = pts.labels[0]
-        sizes = []
-        n = 1
-        while n < len(pts):
-            sizes.append(n)
-            n *= 2
-        sizes.append(len(pts))
-        return cls(tuple(pts.prefix(n) for n in sizes), target)
+        sizes = [1]
+        while sizes[-1] < len(pts):
+            sizes.append(min(2 * sizes[-1], len(pts)))
+        return cls(pts, sizes, pts.labels[0] if target is None else target)
 
 
 @dataclass(frozen=True)
@@ -144,21 +145,22 @@ def _enforce_monotone(values) -> None:
             )
 
 
-def _reported_stages(filtration: Filtration):
-    for pos, stage in enumerate(filtration.stages, start=1):
-        if filtration.target in stage:
-            yield pos, stage
+def _reported_stages(filtration: Filtration) -> list:
+    """``(position, size)`` of each stage containing the target, 1-based."""
+    t = filtration.points.index(filtration.target)
+    return [(pos, m) for pos, m in enumerate(filtration.sizes, start=1) if m > t]
 
 
-def _last_stage(kernel: Kernel, filtration: Filtration, first: PointSet) -> tuple:
+def _last_stage(kernel: Kernel, filtration: Filtration, m: int) -> tuple:
     """``(gram, t, dets, factor)``: the last stage's Gram, assembled once, the
     target's index in it, and one factorization of it, which serves every
     stage as a leading block.  Exact: the leading minors and the target column
     of one Bareiss pass (:func:`exact.leading_minors`), after a domain check.
     Float: the log-determinants of the blocks one LAPACK Cholesky serves, and
-    its factor U; a kernel that gives the stage ``first`` a different matrix
-    on its own than this Gram's leading block has no block served."""
-    last = filtration.stages[-1]
+    its factor U; a kernel that gives the first ``m`` points (the first reported
+    stage) a different matrix on their own than this Gram's leading block has
+    no block served."""
+    last = filtration.points
     t = last.index(filtration.target)
     if kernel.is_exact:
         check_domain(kernel, last)
@@ -166,8 +168,7 @@ def _last_stage(kernel: Kernel, filtration: Filtration, first: PointSet) -> tupl
         minors, column = exact.leading_minors(matrix, t)
         return matrix, t, minors, column
     a = assemble_gram(kernel, last).matrix
-    m = len(first)
-    if m < len(a) and not np.array_equal(assemble_gram(kernel, first).matrix, a[:m, :m]):
+    if m < len(a) and not np.array_equal(assemble_gram(kernel, last.prefix(m)).matrix, a[:m, :m]):
         return a, t, np.empty(0), None
     upper, served = _leading_factor(a)
     return a, t, _log_dets(upper, served), upper
@@ -196,7 +197,7 @@ def _log_dets(upper: np.ndarray, served: int) -> np.ndarray:
     return np.cumsum(2.0 * np.log(np.diagonal(upper)[:served]))
 
 
-def _float_values(kernel: Kernel, filtration: Filtration, stages: list, last: tuple) -> list:
+def _float_values(kernel: Kernel, filtration: Filtration, sizes: list, last: tuple) -> list:
     """Float projection norms of the target at each reported stage.
 
     The last stage's factor serves a stage of m points when it serves the
@@ -219,7 +220,7 @@ def _float_values(kernel: Kernel, filtration: Filtration, stages: list, last: tu
         running = np.cumsum(c * c)
         # largest |K| over each leading block, from the lower triangle's row maxima
         scale = np.maximum.accumulate(np.abs(np.tril(a[:served, :served])).max(axis=1))
-        for m in map(len, stages):
+        for m in sizes:
             if m > served:
                 break
             zeta = dtpsv(m, packed_u, c[:m])
@@ -227,12 +228,13 @@ def _float_values(kernel: Kernel, filtration: Filtration, stages: list, last: tu
             if not np.abs(resid).max() <= SOLVE_RTOL * (1.0 + scale[m - 1]):
                 break
             values.append(float(running[m - 1]))
-    for stage in stages[len(values):]:
-        values.append(projection_norm_sq(assemble_gram(kernel, stage), filtration.target))
+    for m in sizes[len(values):]:
+        stage = assemble_gram(kernel, filtration.points.prefix(m))
+        values.append(projection_norm_sq(stage, filtration.target))
     return values
 
 
-def _float_det_ratios(kernel: Kernel, filtration: Filtration, stages: list, last: tuple) -> list:
+def _float_det_ratios(kernel: Kernel, filtration: Filtration, sizes: list, last: tuple) -> list:
     """Float det(target-deleted minor) / det(K) at each reported stage.
 
     The stages and their target-deleted minors are the leading blocks of the
@@ -248,8 +250,9 @@ def _float_det_ratios(kernel: Kernel, filtration: Filtration, stages: list, last
         minor = np.delete(np.delete(a, t, axis=0), t, axis=1)
         rest = np.concatenate([[0.0], _log_dets(*_leading_factor(minor))])
         served = min(len(full), len(rest))
-        ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in map(len, stages) if m <= served]
-    for stage in stages[len(ratios):]:
+        ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in sizes if m <= served]
+    for m in sizes[len(ratios):]:
+        stage = filtration.points.prefix(m)
         others = [x for x in stage if x != filtration.target]
         ld_minor = log_det(assemble_gram(kernel, others)) if others else 0.0
         ratios.append(math.exp(ld_minor - log_det(assemble_gram(kernel, stage))))
@@ -268,14 +271,13 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     Float stages are read from one LAPACK Cholesky factor, each checked
     against the pivot threshold and the solve's residual contract; from the
     first stage that fails a check, stages are assembled and solved on their
-    own by the pivoted path.  A float value therefore carries the rounding of the whole factor, within
-    the residual contract, and is not bit-identical to a solve of that stage
-    on its own.
+    own by the pivoted path.  A float value therefore carries the rounding of
+    the whole factor, within the residual contract, and is not bit-identical
+    to a solve of that stage on its own.
     """
-    reported = list(_reported_stages(filtration))
-    stages = [stage for _, stage in reported]
-    sizes = [len(stage) for stage in stages]
-    last = _last_stage(kernel, filtration, stages[0])
+    reported = _reported_stages(filtration)
+    sizes = [m for _, m in reported]
+    last = _last_stage(kernel, filtration, sizes[0])
     exact_values = None
     if kernel.is_exact:
         _, t, minors, column = last
@@ -287,7 +289,7 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
         exact_values = tuple(norms[m] for m in sizes)
         values = [float(v) for v in exact_values]
     else:
-        values = _float_values(kernel, filtration, stages, last)
+        values = _float_values(kernel, filtration, sizes, last)
     _enforce_monotone(values)
     return FiltrationTrace(
         target=filtration.target,
@@ -315,13 +317,12 @@ def det_ratio_trace(kernel: Kernel, filtration: Filtration, trace=None) -> np.nd
     or stage sizes differ from the filtration's raises ``ValueError``, and a
     trace made with another kernel object has its last stage assembled again.
     """
-    stages = [stage for _, stage in _reported_stages(filtration)]
-    sizes = tuple(map(len, stages))
+    sizes = tuple(m for _, m in _reported_stages(filtration))
     if trace is not None and (trace.target, trace.stage_sizes) != (filtration.target, sizes):
         raise ValueError("trace does not belong to this filtration: its target or stage sizes differ")
     traced, last = getattr(trace, "_last", None) or (None, None)
     if traced is not kernel:
-        last = _last_stage(kernel, filtration, stages[0])
+        last = _last_stage(kernel, filtration, sizes[0])
     if kernel.is_exact:
         matrix, t, minors = last[:3]
         keep = [i for i in range(len(matrix)) if i != t]
@@ -329,7 +330,7 @@ def det_ratio_trace(kernel: Kernel, filtration: Filtration, trace=None) -> np.nd
         rest = [1] + exact.leading_minors([[matrix[i][j] for j in keep] for i in keep])[0]
         # a stage of m points has its target-deleted minor on the first m - 1 others
         return np.asarray([float(Fraction(rest[m - 1], dets[m])) for m in sizes], dtype=float)
-    return np.asarray(_float_det_ratios(kernel, filtration, stages, last), dtype=float)
+    return np.asarray(_float_det_ratios(kernel, filtration, sizes, last), dtype=float)
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -347,6 +348,11 @@ def classify(trace: FiltrationTrace, tau_stab: float = 1e-10,
     below 0.9), otherwise inconclusive.  Thresholds are engineering policy,
     not mathematics; they travel with the verdict.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    for name, tau in (("tau_stab", tau_stab), ("tau_div", tau_div)):
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"{name} must be finite and positive, got {tau!r}")
     policy = ClassifyPolicy(tau_stab=tau_stab, tau_div=tau_div, k=k)
     vals = trace.values
     n = len(vals)

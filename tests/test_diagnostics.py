@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,10 +52,31 @@ class TestFiltration:
     def test_doubling_constructor(self):
         f = Filtration.doubling(list(range(20)), target=0)
         assert [len(s) for s in f.stages] == [1, 2, 4, 8, 16, 20]
+        assert Filtration.doubling(range(16)).sizes == (1, 2, 4, 8, 16)
+        assert Filtration.doubling([5]).sizes == (1,)
+
+    def test_one_point_set_and_its_sizes(self):
+        f = Filtration([3, 1, 2], (1, 3), target=1)
+        assert f.points == PointSet((3, 1, 2))
+        assert f.sizes == (1, 3)
+        assert [s.labels for s in f.stages] == [(3,), (3, 1, 2)]
 
     def test_rejects_non_prefix_stages(self):
-        with pytest.raises(ValueError, match="prefixes"):
-            Filtration((PointSet((1,)), PointSet((2, 1))), target=1)
+        # sizes that repeat, start at 0, stop short, fall, overshoot, or are absent
+        for sizes in [(1, 2, 2, 3), (0, 1, 3), (1, 2), (2, 1, 3), (1, 4), ()]:
+            with pytest.raises(ValueError, match="stage sizes must increase strictly"):
+                Filtration([1, 2, 3], sizes, target=1)
+
+    def test_prefixes_hold_one_point_set(self):
+        # n(n+1)/2 labels and index entries when each stage held its own
+        pts = [float(v) for v in range(3000)]
+        tracemalloc.start()
+        try:
+            Filtration.prefixes(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_rejects_absent_target(self):
         with pytest.raises(ValueError, match="never enters"):
@@ -245,6 +267,23 @@ class TestOneFactorFallback:
             with pytest.raises(ValueError, match="exactly symmetric"):
                 run(NanKernel(), filtration)
 
+    def test_served_stages_build_one_stage_point_set(self, monkeypatch):
+        # only the first stage is built, for the Kernel.gram contract check
+        rng = np.random.default_rng(63)
+        pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 200)))]
+        kernel, filtration = BrownianKernel(), Filtration.prefixes(pts, target=pts[0])
+        built = []
+        original = PointSet.prefix
+
+        def counting(points, n):
+            built.append(n)
+            return original(points, n)
+
+        monkeypatch.setattr(PointSet, "prefix", counting)
+        tr = trace(kernel, filtration)
+        det_ratio_trace(kernel, filtration, trace=tr)
+        assert built == [1]
+
     def test_pd_filtration_factors_once(self, monkeypatch):
         assembled = []
         original = diagnostics.assemble_gram
@@ -426,6 +465,26 @@ class TestClassify:
         assert verdict.policy.tau_div == 1e-2
         assert verdict.policy.k == 6
 
+    @pytest.mark.parametrize(
+        "policy, name",
+        [
+            ({"k": 0}, "k"),
+            ({"k": -3}, "k"),
+            ({"k": 2.0}, "k"),
+            ({"k": True}, "k"),
+            ({"tau_stab": math.inf}, "tau_stab"),
+            ({"tau_stab": math.nan}, "tau_stab"),
+            ({"tau_stab": 0.0}, "tau_stab"),
+            ({"tau_div": -1e-3}, "tau_div"),
+            ({"tau_div": math.inf}, "tau_div"),
+        ],
+    )
+    def test_rejects_invalid_policy(self, policy, name):
+        tr = trace(BrownianKernel(), Filtration.prefixes(list(range(1, 11))))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            classify(tr, **policy)
+        assert tr.verdict is None
+
 
 class TestDetRatioTrace:
     def test_brownian_examples(self):
@@ -485,7 +544,7 @@ class TestExactRoute:
         n = len(labels)
         target = labels[data.draw(st.integers(0, n - 1))]
         sizes = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=n))) | {n})
-        filtration = Filtration(tuple(labels[:m] for m in sizes), target)
+        filtration = Filtration(labels, sizes, target)
         kernel = BinomialKernel()
         tr = trace(kernel, filtration)
         ratios = det_ratio_trace(kernel, filtration)

@@ -244,6 +244,50 @@ class TestDiagnoseCommand:
         assert all(row[3] for row in csv.reader(lines[1:-1]))
         assert "det_ratio_unavailable" not in json.loads(lines[-1])
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--k", "0"], "k"),
+            (["--k", "-3"], "k"),
+            (["--tau-stab", "inf"], "tau_stab"),
+            (["--tau-stab", "nan"], "tau_stab"),
+            (["--tau-stab", "0"], "tau_stab"),
+            (["--tau-div=-1e-3"], "tau_div"),
+        ],
+    )
+    def test_bad_classify_options_exit_1(self, brownian_doc, flags, name, capsys):
+        # neither numpy's broadcast error nor a JSON Infinity/NaN verdict
+        assert run_cli("diagnose", "--input", brownian_doc, *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be" in captured.err
+
+    def test_config_stages_must_be_named(self, brownian_doc, tmp_path, capsys):
+        # argparse's choices guard only the flag; a config's misspelling
+        # must not run the prefix filtration
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stages": "doublng"}))
+        assert run_cli("--config", str(cfg), "diagnose", "--input", brownian_doc) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'doublng'" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["diagnose", "--k", "abc"], ["diagnose"], ["nosuch"], ["diagnose", "--stages", "bogus"]],
+        ids=["bad-int", "missing-input", "unknown-command", "bad-choice"],
+    )
+    def test_usage_errors_exit_1(self, argv, capsys):
+        # argparse's own exit code, 2, is the code for numerical breakdown
+        assert run_cli(*argv) == cli.EXIT_INPUT
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("diagnose", "--help")
+        assert info.value.code == 0
+        assert "--stages" in capsys.readouterr().out
+
 
 class TestKernelCommands:
     @pytest.mark.parametrize("argv", [("kernel", "gram"), ("diagnose",)], ids=["gram", "diagnose"])
@@ -459,7 +503,7 @@ class TestParserReuse:
         sequence = [self._run(argv, out, capsys) for argv in calls]
         assert cli._parser.cache_info().misses == 1
         assert sequence == separate
-        assert [code for code, *_ in sequence] == [0, 0, 0, 0, 2, 1, 0, 0, 0, 1, 0]
+        assert [code for code, *_ in sequence] == [0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0]
         assert sequence[0][3] != sequence[1][3]  # the config's doubling stages did not stick
 
 
