@@ -52,6 +52,15 @@ def _opt(args, config: dict, name: str, default):
     return config.get(name, default)
 
 
+def _int_opt(args, config: dict, name: str, default) -> int:
+    """:func:`_opt` for an integer option: a config value must be a JSON
+    integer, so 2.5 or ``true`` is refused rather than truncated."""
+    val = _opt(args, config, name, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError(f"option {name!r} must be an integer, got {val!r}")
+    return val
+
+
 @contextlib.contextmanager
 def _output(path):
     """Yield stdout for ``None`` or ``-``, else a file closed on exit."""
@@ -126,7 +135,7 @@ def _cmd_diagnose(args, config) -> int:
         tr,
         tau_stab=float(_opt(args, config, "tau-stab", 1e-10)),
         tau_div=float(_opt(args, config, "tau-div", 1e-3)),
-        k=int(_opt(args, config, "k", 5)),
+        k=_int_opt(args, config, "k", 5),
     )
     with _output(_opt(args, config, "out", None)) as out:
         writer = csv.writer(out)
@@ -183,8 +192,8 @@ def _cmd_gff(args, config) -> int:
     net = Network.from_json(_load_json(args.network))
     kernel = green_kernel(net)
     gram = assemble_gram(kernel, kernel.points)
-    n = int(_opt(args, config, "n", 1000))
-    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
+    n = _int_opt(args, config, "n", 1000)
+    seed = _int_opt(args, config, "seed", DEFAULT_SEED)
     draws = gff.sample(gram, n, seed)
     if args.gff_cmd == "sample":
         with _output(_opt(args, config, "out", None)) as out:
@@ -207,7 +216,7 @@ def _cmd_gff(args, config) -> int:
 
 def _cmd_tree(args, config) -> int:
     weights = LevelWeights.parse(_opt(args, config, "weights", "geometric:0.5"))
-    depth = int(_opt(args, config, "depth", 10))
+    depth = _int_opt(args, config, "depth", 10)
     if args.tree_cmd == "histogram":
         rows = energy_histogram(depth, weights)
         with _output(_opt(args, config, "out", None)) as out:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotri, dpotrs, dpstrf
 
 from .errors import DomainMismatch, NotInRange, NotPositiveSemidefinite, SingularGram
 
@@ -206,6 +205,8 @@ def _pivoted_cholesky(matrix: np.ndarray) -> _Factor:
     The upper factor is used because its bits and pivot order do not depend
     on the number of BLAS threads; the lower factor's do.
     """
+    from scipy.linalg.lapack import dpstrf
+
     n = matrix.shape[0]
     if n == 0:
         return _Factor(perm=np.arange(0), upper=np.zeros((0, 0)), status=StrictlyPD(logdet=0.0))
@@ -316,6 +317,8 @@ def check_pd(gram: GramMatrix) -> PDResult:
 
 
 def _triangular_solve(fact: _Factor, b: np.ndarray) -> np.ndarray:
+    from scipy.linalg.lapack import dpotrs
+
     z, _ = dpotrs(fact.upper, b[fact.perm], lower=0)
     out = np.empty_like(z)
     out[fact.perm] = z
@@ -377,6 +380,8 @@ def projection_norm_sq(gram: GramMatrix, target) -> float:
 def dual_basis(gram: GramMatrix) -> list[CoefficientVector]:
     """Rows of K_F^{-1}: row x holds the expansion coefficients of the vector
     dual to the section at x.  Pairing any row against K_F gives an indicator."""
+    from scipy.linalg.lapack import dpotri
+
     fact = gram.factorization()
     if not isinstance(fact.status, StrictlyPD):
         raise SingularGram(f"dual basis needs a strictly PD Gram matrix, got {fact.status}")

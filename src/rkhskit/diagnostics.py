@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.blas import dspmv, dtpsv
-from scipy.linalg.lapack import dpotrf, dtrttp
 
 from . import exact
 from .core import (
@@ -53,6 +51,8 @@ class Filtration:
     def __post_init__(self):
         points = PointSet.of(self.points)
         sizes = tuple(map(operator.index, self.sizes))
+        if not points:
+            raise ValueError("a filtration needs at least one point")
         if not (sizes and sizes[0] >= 1 and sizes[-1] == len(points)
                 and all(a < b for a, b in zip(sizes, sizes[1:]))):
             raise ValueError(f"stage sizes must increase strictly from 1 or more to {len(points)}")
@@ -70,7 +70,7 @@ class Filtration:
     def prefixes(cls, points, target=None) -> "Filtration":
         """One new point per stage, in the given order."""
         pts = PointSet.of(points)
-        return cls(pts, range(1, len(pts) + 1), pts.labels[0] if target is None else target)
+        return cls(pts, range(1, len(pts) + 1), pts.labels[0] if target is None and pts else target)
 
     @classmethod
     def doubling(cls, points, target=None) -> "Filtration":
@@ -79,7 +79,7 @@ class Filtration:
         sizes = [1]
         while sizes[-1] < len(pts):
             sizes.append(min(2 * sizes[-1], len(pts)))
-        return cls(pts, sizes, pts.labels[0] if target is None else target)
+        return cls(pts, sizes, pts.labels[0] if target is None and pts else target)
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,8 @@ def _leading_factor(matrix: np.ndarray):
     leaves the first k - 1 rows valid, so the blocks before it are still
     served.
     """
+    from scipy.linalg.lapack import dpotrf
+
     upper, info = dpotrf(matrix.T, lower=0, clean=1)
     done = len(matrix) if info == 0 else max(info - 1, 0)
     pivots = np.diagonal(upper)[:done] ** 2
@@ -207,6 +209,9 @@ def _float_values(kernel: Kernel, filtration: Filtration, sizes: list, last: tup
     first stage that fails, each stage is assembled and solved on its own by
     the pivoted path, with its semidefinite and not-PSD verdicts.
     """
+    from scipy.linalg.blas import dspmv, dtpsv
+    from scipy.linalg.lapack import dtrttp
+
     a, t, log_dets, upper = last
     served = len(log_dets)
     values = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import GramMatrix, NotPSD, PointSet, _unpermuted_factor
 from .errors import MissingNeighbor, NotPositiveSemidefinite
@@ -43,6 +42,8 @@ def _mulhilo(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_rows(seed: int, n: int, cols: int) -> np.ndarray:
+    from scipy.special import ndtri
+
     seed = int(seed)
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")

@@ -14,8 +14,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .core import Kernel, PointSet, _canon_label
 from .errors import Disconnected
@@ -112,7 +110,8 @@ class Network:
             raise _edge_error(self.vertices, *self.edges[first_bad])
 
     def _check_connected(self):
-        from scipy.sparse.csgraph import connected_components  # ~5 ms to import; only networks need it
+        import scipy.sparse
+        from scipy.sparse.csgraph import connected_components
 
         n = len(self.vertices)
         graph = scipy.sparse.csr_matrix((self._nbr_cond, self._nbr, self._nbr_ptr), shape=(n, n))
@@ -187,6 +186,8 @@ class Network:
             with self._lock:
                 ground = self._grounded
                 if ground is None:
+                    import scipy.sparse.linalg
+
                     n, b = len(self.vertices) - 1, self._base_index
                     u, v = self._ends.T
                     c = self._cond

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.linalg.lapack
 from scipy.linalg.lapack import dpotrf
 
 import rkhskit.cli as cli
@@ -77,6 +78,12 @@ class TestFiltration:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+    @pytest.mark.parametrize("build", [Filtration.prefixes, Filtration.doubling])
+    @pytest.mark.parametrize("target", [None, 1])
+    def test_rejects_empty_points(self, build, target):
+        with pytest.raises(ValueError, match="at least one point"):
+            build([], target)
 
     def test_rejects_absent_target(self):
         with pytest.raises(ValueError, match="never enters"):
@@ -363,7 +370,7 @@ class TestSharedLastStage:
 
     def test_float_diagnose_assembles_and_factors_last_stage_once(self, tmp_path, monkeypatch):
         assembled, factored = [], []
-        assemble, potrf = diagnostics.assemble_gram, diagnostics.dpotrf
+        assemble, potrf = diagnostics.assemble_gram, dpotrf
 
         def counting_assemble(kernel, points):
             assembled.append(len(points))
@@ -374,7 +381,8 @@ class TestSharedLastStage:
             return potrf(matrix, **kwargs)
 
         monkeypatch.setattr(diagnostics, "assemble_gram", counting_assemble)
-        monkeypatch.setattr(diagnostics, "dpotrf", counting_potrf)
+        # diagnostics imports dpotrf where it calls it, so it reads this patch
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_potrf)
         self._diagnose(tmp_path, "bridge", [k / 41 for k in range(1, 41)], "--stages", "doubling")
         assert assembled == [40, 1]     # the last stage, then the consistency check
         assert factored == [40, 39]     # the stage, then its target-deleted Gram

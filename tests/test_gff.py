@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from _graphs import random_connected_network
@@ -72,7 +73,7 @@ class TestPhiloxStream:
     def test_uniforms_equal_numpy_philox(self, seed, n, cols):
         # with the inverse CDF replaced by the identity, _normal_rows returns
         # its uniforms (clipped away from an exact 0)
-        with mock.patch.object(gff, "ndtri", lambda u: u):
+        with mock.patch.object(scipy.special, "ndtri", lambda u: u):
             got = gff._normal_rows(seed, n, cols)
         want = np.clip(oracle_uniforms(seed, n, cols), 1e-300, None)
         assert got.shape == (n, cols)

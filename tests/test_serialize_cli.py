@@ -507,6 +507,39 @@ class TestParserReuse:
         assert sequence[0][3] != sequence[1][3]  # the config's doubling stages did not stick
 
 
+class TestConfigIntegers:
+    """Integer options read from --config are refused unless they are JSON
+    integers, never truncated or read from a bool."""
+
+    @pytest.fixture
+    def commands(self, brownian_doc, network_doc):
+        return {
+            "k": ["diagnose", "--input", brownian_doc],
+            "n": ["gff", "sample", "--network", network_doc],
+            "seed": ["gff", "sample", "--network", network_doc, "--n", "3"],
+            "depth": ["tree", "histogram"],
+        }
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("k", 2.5), ("k", True), ("k", 2.0), ("n", 2.5), ("n", "3"), ("seed", True),
+         ("seed", 1.5), ("depth", 9.9), ("depth", None)],
+    )
+    def test_non_integer_exits_1(self, commands, tmp_path, name, value, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert run_cli("--config", str(cfg), *commands[name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: option {name!r} must be an integer")
+
+    @pytest.mark.parametrize("name, value", [("k", 3), ("n", 2), ("seed", 7), ("depth", 3)])
+    def test_integer_runs(self, commands, tmp_path, name, value, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert run_cli("--config", str(cfg), *commands[name]) == 0
+
+
 class TestTreeCommands:
     def test_histogram_csv(self, tmp_path):
         out = tmp_path / "hist.csv"
