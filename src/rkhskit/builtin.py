@@ -37,11 +37,19 @@ __all__ = [
 ]
 
 
+# Exact float and int labels are answered before the numbers.Real ABC check,
+# which costs a registry lookup per label; bool is neither exact type.
 def _is_coordinate(label) -> bool:
+    if type(label) is float or type(label) is int:
+        return True
     return isinstance(label, Real) and not isinstance(label, bool)
 
 
 def _is_nonneg_int(label) -> bool:
+    if type(label) is int:
+        return label >= 0
+    if type(label) is float:
+        return label.is_integer() and label >= 0
     if isinstance(label, bool):
         return False
     if isinstance(label, int):

@@ -61,6 +61,17 @@ def _int_opt(args, config: dict, name: str, default) -> int:
     return val
 
 
+def _float_opt(args, config: dict, name: str, default) -> float:
+    """:func:`_opt` for a float option: a config value must be a JSON number
+    that a float holds, so ``true`` or ``"1e-3"`` is refused rather than
+    coerced."""
+    val = _opt(args, config, name, default)
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            return float(val)
+    raise ValueError(f"option {name!r} must be a finite number, got {val!r}")
+
+
 @contextlib.contextmanager
 def _output(path):
     """Yield stdout for ``None`` or ``-``, else a file closed on exit."""
@@ -106,6 +117,21 @@ def _cmd_kernel_gram(args, config) -> int:
     return EXIT_OK
 
 
+def _diagnose_rows(tr, ratios) -> str:
+    """The diagnose table's rows as the csv module writes them, from one row
+    template: exact values through :func:`fmt`, floats as ``%.17g``, a blank
+    det_ratio column when ``ratios`` is None and a blank first increment."""
+    exact = tr.exact_values is not None
+    columns = [tr.stage_indices, tr.stage_sizes,
+               [fmt(v) for v in tr.exact_values] if exact else tr.values.tolist()]
+    if ratios is not None:
+        columns.append(ratios.tolist())
+    row = "%d,%d," + ("%s," if exact else "%.17g,") + ("" if ratios is None else "%.17g")
+    first, *rest = zip(*columns)
+    cells = [x for stage, inc in zip(rest, np.diff(tr.values).tolist()) for x in (*stage, inc)]
+    return row % first + ",\r\n" + ((row + ",%.17g\r\n") * len(rest)) % tuple(cells)
+
+
 def _cmd_diagnose(args, config) -> int:
     stages = _opt(args, config, "stages", "prefix")
     if stages not in STAGES:  # argparse's choices guard only the flag
@@ -133,27 +159,12 @@ def _cmd_diagnose(args, config) -> int:
         ratio_error = str(err)  # rank-deficient stages have no determinant ratio
     verdict = classify(
         tr,
-        tau_stab=float(_opt(args, config, "tau-stab", 1e-10)),
-        tau_div=float(_opt(args, config, "tau-div", 1e-3)),
+        tau_stab=_float_opt(args, config, "tau-stab", 1e-10),
+        tau_div=_float_opt(args, config, "tau-div", 1e-3),
         k=_int_opt(args, config, "k", 5),
     )
     with _output(_opt(args, config, "out", None)) as out:
-        writer = csv.writer(out)
-        writer.writerow(["stage_index", "stage_size", "zeta_value", "det_ratio", "increment"])
-        prev = None
-        for row, (idx, size) in enumerate(zip(tr.stage_indices, tr.stage_sizes)):
-            value = tr.exact_values[row] if tr.exact_values is not None else tr.values[row]
-            inc = "" if prev is None else fmt(float(value) - prev)
-            writer.writerow(
-                [
-                    idx,
-                    size,
-                    fmt(value),
-                    fmt(ratios[row]) if ratios is not None else "",
-                    inc,
-                ]
-            )
-            prev = float(value)
+        out.write("stage_index,stage_size,zeta_value,det_ratio,increment\r\n" + _diagnose_rows(tr, ratios))
         doc = _verdict_doc(verdict)
         if ratio_error is not None:
             doc["det_ratio_unavailable"] = ratio_error

@@ -136,13 +136,15 @@ class FiltrationTrace:
         return np.diff(self.values)
 
 
-def _enforce_monotone(values) -> None:
-    for a, b in zip(values, values[1:]):
-        if b < a - (MONOTONE_ATOL + MONOTONE_RTOL * abs(a)):
-            raise MonotonicityViolation(
-                f"projection norm dropped from {a!r} to {b!r} along nested stages; "
-                "the solves are no longer trustworthy"
-            )
+def _enforce_monotone(values: list) -> None:
+    v = np.asarray(values, dtype=float)
+    drops = v[1:] < v[:-1] - (MONOTONE_ATOL + MONOTONE_RTOL * np.abs(v[:-1]))
+    if drops.any():
+        i = int(np.argmax(drops))
+        raise MonotonicityViolation(
+            f"projection norm dropped from {values[i]!r} to {values[i + 1]!r} along nested stages; "
+            "the solves are no longer trustworthy"
+        )
 
 
 def _reported_stages(filtration: Filtration) -> list:
@@ -203,40 +205,60 @@ def _float_values(kernel: Kernel, filtration: Filtration, sizes: list, last: tup
     """Float projection norms of the target at each reported stage.
 
     The last stage's factor serves a stage of m points when it serves the
-    m-block (:func:`_last_stage`) and ``zeta_m = L_m^-T c[:m]`` meets the solve
+    m-block (:func:`_last_stage`) and ``zeta_m = U_m^-1 c[:m]`` meets the solve
     contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + max|K_m|)``, with
-    ``c = L^-1 e_t``; its value is then ``sum_{k<m} c_k^2``.  From the
-    first stage that fails, each stage is assembled and solved on its own by
-    the pivoted path, with its semidefinite and not-PSD verdicts.
+    ``c = U^-T e_t``; its value is then ``sum_{k<m} c_k^2``.  Every stage the
+    factor serves is checked at once: column j of ``C`` is ``c`` with its
+    entries from ``m_j`` on cleared, and since ``U^-1`` is upper triangular,
+    column j of ``Z = U^-1 C`` (one ``dtrsm``) is ``zeta_{m_j}`` padded with
+    zeros, so one product ``K Z - e_t 1^T`` holds each stage's residual in
+    its first ``m_j`` rows.  From the first stage that fails, each stage is
+    assembled and solved on its own by the pivoted path, with its
+    semidefinite and not-PSD verdicts.
     """
-    from scipy.linalg.blas import dspmv, dtpsv
+    from scipy.linalg.blas import dgemm, dtpsv, dtrsm
     from scipy.linalg.lapack import dtrttp
 
     a, t, log_dets, upper = last
-    served = len(log_dets)
+    served = np.array([m for m in sizes if m <= len(log_dets)], dtype=np.intp)
     values = []
-    if served > t:
+    if len(served):
+        n = int(served[-1])
         # column-major packed upper triangles: the first m(m+1)/2 entries
-        # pack the leading m-block, so every stage reads a prefix, uncopied
-        packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0]
-        e_t = np.zeros(served)
+        # pack the leading m-block; those of K^T are the rows of K's lower
+        # triangle, whose running maxima give max|K_m| for every m.  The
+        # values' last bits follow the packed solve for c, which the golden
+        # diagnose CSVs pin.
+        packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0][: n * (n + 1) // 2]
+        e_t = np.zeros(n)
         e_t[t] = 1.0
-        c = dtpsv(served, packed_u, e_t, trans=1)
-        running = np.cumsum(c * c)
-        # largest |K| over each leading block, from the lower triangle's row maxima
-        scale = np.maximum.accumulate(np.abs(np.tril(a[:served, :served])).max(axis=1))
-        for m in sizes:
-            if m > served:
-                break
-            zeta = dtpsv(m, packed_u, c[:m])
-            resid = dspmv(m, 1.0, packed_k, zeta, beta=-1.0, y=e_t[:m])
-            if not np.abs(resid).max() <= SOLVE_RTOL * (1.0 + scale[m - 1]):
-                break
-            values.append(float(running[m - 1]))
+        c = dtpsv(n, packed_u, e_t, trans=1)
+        rows = np.arange(n)
+        scale = np.maximum.accumulate(
+            np.maximum.reduceat(np.abs(packed_k, out=packed_k), rows * (rows + 1) // 2)
+        )
+        inside = rows < served[:, None]
+        z = dtrsm(1.0, upper[:n, :n], (inside * c).T, overwrite_b=1)
+        resid = dgemm(1.0, a.T[:n, :n], z)   # K is symmetric bit for bit
+        resid[t] -= 1.0
+        np.abs(resid, out=resid).T[~inside] = 0.0
+        passed = resid.max(axis=0) <= SOLVE_RTOL * (1.0 + scale[served - 1])
+        count = len(served) if passed.all() else int(np.argmin(passed))
+        values = np.cumsum(c * c)[served[:count] - 1].tolist()
     for m in sizes[len(values):]:
         stage = assemble_gram(kernel, filtration.points.prefix(m))
         values.append(projection_norm_sq(stage, filtration.target))
     return values
+
+
+def _without(a: np.ndarray, t: int) -> np.ndarray:
+    """``a`` with row and column ``t`` deleted, copied once block by block."""
+    out = np.empty((len(a) - 1, len(a) - 1))
+    blocks = ((slice(None, t), slice(None, t)), (slice(t, None), slice(t + 1, None)))
+    for rows_out, rows_in in blocks:
+        for cols_out, cols_in in blocks:
+            out[rows_out, cols_out] = a[rows_in, cols_in]
+    return out
 
 
 def _float_det_ratios(kernel: Kernel, filtration: Filtration, sizes: list, last: tuple) -> list:
@@ -252,8 +274,7 @@ def _float_det_ratios(kernel: Kernel, filtration: Filtration, sizes: list, last:
     a, t, full = last[:3]
     ratios = []
     if len(full):
-        minor = np.delete(np.delete(a, t, axis=0), t, axis=1)
-        rest = np.concatenate([[0.0], _log_dets(*_leading_factor(minor))])
+        rest = np.concatenate([[0.0], _log_dets(*_leading_factor(_without(a, t)))])
         served = min(len(full), len(rest))
         ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in sizes if m <= served]
     for m in sizes[len(ratios):]:

@@ -1,11 +1,13 @@
 """Closed-form oracles for the Brownian, bridge, and binomial kernels."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import rkhskit.builtin as builtin
 from _fractions import fraction_inverse_diagonal
 from rkhskit import (
     BinomialKernel,
@@ -258,3 +260,43 @@ class TestBinomialPartialNorm:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             binomial_partial_norm(5, 3)
+
+
+# (label, coordinate, nonnegative integer): the verdicts of the numbers.Real
+# checks, which the exact float and int fast paths must keep
+LABEL_VERDICTS = [
+    (True, False, False),
+    (False, False, False),
+    (np.True_, False, False),
+    (0, True, True),
+    (2, True, True),
+    (-2, True, False),
+    (2.0, True, True),
+    (-0.0, True, True),
+    (2.5, True, False),
+    (-2.0, True, False),
+    (math.nan, True, False),
+    (math.inf, True, False),
+    (-math.inf, True, False),
+    (np.float64(3.0), True, True),
+    (np.float64(math.nan), True, False),
+    (np.float32(0.5), True, False),
+    (np.int64(3), True, True),
+    (np.int64(-1), True, False),
+    (Fraction(4, 2), True, True),
+    (Fraction(1, 2), True, False),
+    (Fraction(-2), True, False),
+    (Decimal("2"), False, False),
+    (Decimal("0.5"), False, False),
+    ("2", False, False),
+    (None, False, False),
+]
+
+
+@pytest.mark.parametrize("label, coordinate, nonneg_int", LABEL_VERDICTS, ids=repr)
+def test_label_checks_keep_their_verdicts(label, coordinate, nonneg_int):
+    assert bool(builtin._is_coordinate(label)) is coordinate
+    assert bool(builtin._is_nonneg_int(label)) is nonneg_int
+    assert bool(BinomialKernel().contains(label)) is nonneg_int
+    assert bool(BrownianKernel().contains(label)) is bool(coordinate and 0 < label < math.inf)
+    assert bool(BridgeKernel().contains(label)) is bool(coordinate and 0 < label < 1)

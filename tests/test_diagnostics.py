@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 import scipy.linalg.lapack
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dspmv, dtpsv
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 import rkhskit.cli as cli
 import rkhskit.core as core
@@ -124,6 +125,12 @@ class TestTrace:
         kernel = ShrinkingKernel()
         with pytest.raises(MonotonicityViolation):
             trace(kernel, Filtration.prefixes([0, 1, 2]))
+
+    def test_monotonicity_violation_names_the_first_drop(self):
+        # a drop within MONOTONE_ATOL + MONOTONE_RTOL |a| is slack, not a violation
+        diagnostics._enforce_monotone([1.0, 1.0 - 1e-9, 2.0, 2.0])
+        with pytest.raises(MonotonicityViolation, match=r"from 2\.0 to 1\.5 along"):
+            diagnostics._enforce_monotone([1.0, 1.0 - 1e-9, 2.0, 1.5, 3.0, 0.5])
 
     def test_semidefinite_stage_mid_filtration(self):
         # stage 3 repeats the section at 1: its pivot in the last stage's
@@ -260,6 +267,36 @@ class TestOneFactorFallback:
         assert calls == [4]
         assert tr.values[:3].tolist() == [0.25, 0.25, 0.25]
         assert tr.values[3] == want[3]
+
+    def test_residual_failure_at_a_middle_stage(self, monkeypatch):
+        # the sixth point nearly repeats the third, so its stage solves with
+        # a residual over 1e3 times those before it; a bound between the two
+        # makes the fourth of six reported stages fail first.  The seventh
+        # point's 1e6 diagonal raises the last two stages' bounds above their
+        # residuals, yet they too take the pivoted path.
+        pts = [1.0, 3.0, 2.0, 5.0, 4.0, 2.0 + 1e-4, 1e6, 0.5]
+        kernel, filtration = BrownianKernel(), Filtration.prefixes(pts, target=2.0)
+        a = assemble_gram(kernel, pts).matrix
+        upper, info = dpotrf(a.T, lower=0, clean=1)
+        assert info == 0
+        packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0]
+        e_t = np.zeros(len(pts))
+        e_t[2] = 1.0
+        c = dtpsv(len(pts), packed_u, e_t, trans=1)
+        resid = []
+        for m in range(3, 9):  # reference: one packed solve and product per stage
+            zeta = dtpsv(m, packed_u, c[:m])
+            r = dspmv(m, 1.0, packed_k, zeta, beta=-1.0, y=e_t[:m])
+            resid.append(np.abs(r).max() / (1.0 + np.abs(a[:m, :m]).max()))
+        bound = math.sqrt(max(resid[:3]) * resid[3])
+        assert 1e3 * max(resid[:3]) < resid[3] and 1e3 * max(resid[4:]) < bound
+        monkeypatch.setattr(diagnostics, "SOLVE_RTOL", bound)
+        want = _fresh_stage_values(kernel, filtration)
+        calls = _count_pivoted(monkeypatch)
+        tr = trace(kernel, filtration)
+        assert calls == [6, 7, 8]
+        assert tr.values[:3].tolist() == np.cumsum(c * c)[2:5].tolist()
+        assert tr.values[3:].tolist() == want[3:]
 
     def test_nan_entry_rejected_as_asymmetric(self):
         class NanKernel(BrownianKernel):

@@ -32,6 +32,9 @@ byte.
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +291,80 @@ def test_binomial_diagnose_csv_matches_golden(name, tmp_path):
     out = tmp_path / "trace.csv"
     assert cli.main(["diagnose", "--input", str(doc), *flags, "--out", str(out)]) == 0
     assert out.read_bytes() == golden.encode()
+
+
+# -- float diagnose ------------------------------------------------------------
+
+# sha256 of float ``diagnose`` CSVs, written row by row by the csv module while
+# each served stage's residual was checked with its own packed triangular
+# solve and product; the table writer and the batched residual check must
+# reproduce every byte, the verdict line included.  OpenBLAS's Cholesky of
+# a larger Gram rounds differently under one thread than under several, so
+# the bridge CSV has one digest under one BLAS thread and another under two
+# (and three and four): each is pinned in a child process started with that
+# many threads.  Other BLAS libraries ignore the variable.
+
+
+def rank_deficient_table():
+    """Integer table on 0..7 whose points 2 and 5 share one feature vector, so
+    every stage from the sixth on is semidefinite and has no determinant ratio."""
+    rng = np.random.default_rng(6)
+    v = rng.integers(-3, 4, (8, 8)).astype(float)
+    v[5] = v[2]
+    return {"type": "table", "labels": list(range(8)), "entries": (v @ v.T).tolist()}
+
+
+BROWNIAN_CSV_SHA256 = "72ab1da774d5ff2b4580eadea988023bcee083dc5926e5e12f505c8263607cad"
+TABLE_CSV_SHA256 = "f4ae03cf40a44df14419cc9663a9861dda5b825a923ee677c1fa5ac21fa53fe8"
+FLOAT_DIAGNOSE_CASES = {
+    # name: (document, flags, {BLAS threads: digest})
+    "brownian-prefix-100": (
+        {"kernel": {"type": "brownian"}, "points": brownian_prefix()[1].points.labels},
+        [],
+        {1: BROWNIAN_CSV_SHA256, 2: BROWNIAN_CSV_SHA256},
+    ),
+    "bridge-doubling-512": (
+        {"kernel": {"type": "bridge"}, "points": bridge_doubling()[1].points.labels},
+        ["--stages", "doubling"],
+        {
+            1: "702c5e6f140642d70d1549cff7a1aa863281c99bb29476b1ff3e63a52d39c903",
+            2: "3ccc7e30d811f509eef927b30a5695ca260d88087c140c29c5707a1a0504153c",
+        },
+    ),
+    "table-rank-deficient": (
+        {"kernel": rank_deficient_table(), "points": list(range(8))},
+        ["--target", "1"],
+        {1: TABLE_CSV_SHA256, 2: TABLE_CSV_SHA256},
+    ),
+}
+
+DIAGNOSE_CHILD = """
+import hashlib, json, sys
+import rkhskit.cli as cli
+
+for name, doc, flags, out in json.loads(sys.argv[1]):
+    assert cli.main(["diagnose", "--input", doc, *flags, "--out", out]) == 0
+    data = open(out, "rb").read()
+    print(name, b"det_ratio_unavailable" in data, hashlib.sha256(data).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_float_diagnose_csv_matches_golden_hash(threads, tmp_path):
+    runs = []
+    for name, (doc, flags, _) in sorted(FLOAT_DIAGNOSE_CASES.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        runs.append([name, str(path), flags, str(tmp_path / f"{name}.csv")])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", DIAGNOSE_CHILD, json.dumps(runs)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        f"{name} {name == 'table-rank-deficient'} {digests[threads]}"
+        for name, (_, _, digests) in sorted(FLOAT_DIAGNOSE_CASES.items())
+    ]
 
 
 # -- networks ---------------------------------------------------------------

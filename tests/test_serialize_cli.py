@@ -540,6 +540,39 @@ class TestConfigIntegers:
         assert run_cli("--config", str(cfg), *commands[name]) == 0
 
 
+class TestConfigFloats:
+    """Classify tolerances read from --config are refused unless they are JSON
+    numbers, never read from a bool or parsed from a string."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tau-stab", True), ("tau-stab", "1e-3"), ("tau-div", False), ("tau-div", "0.01"),
+         ("tau-div", None), ("tau-stab", [1e-3]), pytest.param("tau-stab", 10**400, id="tau-stab-1e400")],
+    )
+    def test_non_number_exits_1(self, brownian_doc, tmp_path, name, value, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert run_cli("--config", str(cfg), "diagnose", "--input", brownian_doc) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: option {name!r} must be a finite number")
+
+    @pytest.mark.parametrize("name, value", [("tau-stab", 1e-3), ("tau-div", 1), ("tau-div", 0.5)])
+    def test_number_runs(self, brownian_doc, tmp_path, name, value, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert run_cli("--config", str(cfg), "diagnose", "--input", brownian_doc) == 0
+        policy = json.loads(capsys.readouterr().out.splitlines()[-1])["tolerances"]
+        assert policy[name.replace("-", "_")] == value
+
+    def test_flag_wins_over_config(self, brownian_doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau-stab": True}))
+        argv = ["--config", str(cfg), "diagnose", "--input", brownian_doc, "--tau-stab", "1e-3"]
+        assert run_cli(*argv) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["tolerances"]["tau_stab"] == 1e-3
+
+
 class TestTreeCommands:
     def test_histogram_csv(self, tmp_path):
         out = tmp_path / "hist.csv"
