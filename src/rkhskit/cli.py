@@ -37,6 +37,7 @@ EXIT_REPRODUCE = 3
 
 DEFAULT_SEED = 42
 STAGES = ("prefix", "doubling")
+SUITE_OPTIONS = {"tree": ("depth",), "gff": ("n", "seed")}
 
 
 def _load_json(path: str):
@@ -227,8 +228,8 @@ def _cmd_gff(args, config) -> int:
 
 def _cmd_tree(args, config) -> int:
     weights = LevelWeights.parse(_opt(args, config, "weights", "geometric:0.5"))
-    depth = _int_opt(args, config, "depth", 10)
     if args.tree_cmd == "histogram":
+        depth = _int_opt(args, config, "depth", 10)
         rows = energy_histogram(depth, weights)
         with _output(_opt(args, config, "out", None)) as out:
             writer = csv.writer(out)
@@ -260,16 +261,14 @@ def _cmd_reproduce(args, config) -> int:
     name = args.name
     if name not in SUITES:
         raise ValueError(f"unknown reproduction {name!r}; choose from {sorted(SUITES)}")
-    suite = SUITES[name]
-    kwargs = {}
-    if name == "tree" and args.depth is not None:
-        kwargs["depth"] = int(args.depth)
-    if name == "gff":
-        if args.n is not None:
-            kwargs["n"] = int(args.n)
-        if args.seed is not None:
-            kwargs["seed"] = int(args.seed)
-    checks = suite(**kwargs)
+    # a suite reads only the options it takes; one given neither by flag
+    # nor by config keeps the suite's own default
+    kwargs = {
+        opt: _int_opt(args, config, opt, None)
+        for opt in SUITE_OPTIONS.get(name, ())
+        if getattr(args, opt) is not None or opt in config
+    }
+    checks = SUITES[name](**kwargs)
     failed = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -14,6 +14,7 @@ default convention is r(0) = 1, recorded in outputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -155,16 +156,32 @@ def build_tree(depth: int, weights: LevelWeights) -> Network:
     the children of vertex i are vertices 2i+1 and 2i+2, and edge k joins
     vertex k+1 to its parent k//2 with conductance 1/r(level of the parent).
     """
+    words = (word for level in range(depth + 1) for word in itertools.product((0, 1), repeat=level))
+    return _tree_network(depth, weights, words)
+
+
+def _tree_network(depth: int, weights: LevelWeights, labels) -> Network:
+    """:func:`build_tree`'s network over the given vertex labels, one per
+    vertex in heap order; they are read only after the depth and the
+    weights are checked."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     level_cond = [1.0 / weights.r(level) for level in range(depth)]
-    words: list[Word] = [()]
-    for level in range(depth):
-        words += [word + (bit,) for word in words[-(1 << level):] for bit in (0, 1)]
-    child = np.arange(1, len(words), dtype=np.intp)
+    child = np.arange(1, (2 << depth) - 1, dtype=np.intp)
     ends = np.column_stack(((child - 1) // 2, child))
     cond = np.repeat(level_cond, 2 << np.arange(depth))  # 2^(level+1) edges per level
-    return Network._from_arrays(PointSet.canonical(tuple(words)), 0, ends, cond)
+    return Network._from_arrays(PointSet.canonical(tuple(labels)), 0, ends, cond)
+
+
+def _heap_index(word: Word) -> int:
+    """Vertex index of a 0/1 word in :func:`build_tree`'s heap order,
+    2^len(word) - 1 + the word read in binary."""
+    index = 0
+    for bit in word:
+        if bit not in (0, 1):
+            raise ValueError(f"words are tuples over 0/1, got {word!r}")
+        index = 2 * index + (2 if bit else 1)
+    return index
 
 
 def tree_delta_norm_closed(word: Word, weights: LevelWeights, depth: int) -> float:
@@ -204,8 +221,12 @@ def boundary_resistance(
 
     Tree paths are series circuits, so the resistance is twice the sum of
     level resistances from the meet level up to the truncation.  A network
-    solve cross-checks that when requested (default: when small enough to be
-    cheap).
+    solve cross-checks that when requested; by default it runs when
+    ``truncation <= 12`` or whenever ``network=`` is given.  Without
+    ``network=`` the solve runs on :func:`build_tree`'s network over the heap
+    indices ``0 .. 2^(truncation+1) - 2`` in place of the words: the same
+    edges and conductances, so the same factor and the same value bit for
+    bit, with no word labels built.
     """
     if len(w1) != len(w2):
         raise ValueError("both words must be truncated at the same depth")
@@ -218,8 +239,11 @@ def boundary_resistance(
         solve = network is not None or truncation <= 12
     network_value = None
     if solve:
-        net = network if network is not None else build_tree(truncation, weights)
-        network_value = resistance(net, w1, w2)
+        if network is not None:
+            network_value = resistance(network, w1, w2)
+        else:
+            net = _tree_network(truncation, weights, range((2 << truncation) - 1))
+            network_value = resistance(net, _heap_index(w1), _heap_index(w2))
     tail = weights.tail_sum(meet)
     return BoundaryResistance(
         meet=meet,

@@ -539,6 +539,13 @@ class TestConfigIntegers:
         cfg.write_text(json.dumps({name: value}))
         assert run_cli("--config", str(cfg), *commands[name]) == 0
 
+    def test_tree_resistance_ignores_config_depth(self, tmp_path, capsys):
+        # a truncation is the words' length; only the histogram takes --depth
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": 2.5}))
+        assert run_cli("--config", str(cfg), "tree", "resistance", "--w1", "0101", "--w2", "0110") == 0
+        assert json.loads(capsys.readouterr().out)["truncation"] == 4
+
 
 class TestConfigFloats:
     """Classify tolerances read from --config are refused unless they are JSON
@@ -641,6 +648,50 @@ class TestReproduceCommand:
 
     def test_unknown_name(self, capsys):
         assert run_cli("reproduce", "nope") == 1
+
+    def test_config_depth_sets_tree_suite_depth(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": 3}))
+        assert run_cli("--config", str(cfg), "reproduce", "tree") == 0
+        assert "(observed=6, expected=6)" in capsys.readouterr().out  # 2^3 - 2
+
+    @pytest.mark.parametrize(
+        "config, flags, expected",
+        [({"n": 300, "seed": 5}, (), {"n": 300, "seed": 5}),
+         ({"n": 300, "seed": 5}, ("--seed", "9"), {"n": 300, "seed": 9}),
+         ({"depth": 2.5}, (), {})],
+    )
+    def test_config_sets_gff_suite_options(self, monkeypatch, tmp_path, config, flags, expected):
+        from rkhskit.reproduce import Check
+
+        seen = []
+        monkeypatch.setitem(cli.SUITES, "gff", lambda **kw: seen.append(kw) or [Check("ok", True, 0, 0)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("--config", str(cfg), "reproduce", "gff", *flags) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [("tree", {"depth": 2.5}), ("tree", {"depth": None}), ("gff", {"n": 2.5}), ("gff", {"seed": True})],
+    )
+    def test_config_non_integer_exits_1(self, tmp_path, name, config, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("--config", str(cfg), "reproduce", name) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: option {next(iter(config))!r} must be an integer")
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [("binomial", {"depth": 2.5, "n": 2.5, "seed": "x"}), ("tree", {"n": 2.5, "seed": "x"})],
+    )
+    def test_config_options_of_other_suites_are_ignored(self, tmp_path, name, config, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("--config", str(cfg), "reproduce", name) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_failing_check_exits_3(self, monkeypatch, capsys):
         from rkhskit.reproduce import Check

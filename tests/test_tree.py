@@ -1,7 +1,11 @@
 """Dyadic trees with level weights: energies, boundary resistance, histogram."""
 
+import itertools
+import random
+
 import pytest
 
+from rkhskit import tree
 from rkhskit import (
     BoundaryWord,
     LevelWeights,
@@ -134,14 +138,48 @@ class TestBoundaryResistance:
         # series circuit through the meet vertex, twice the level tail
         assert br.series_sum == pytest.approx(2 * sum(0.5 ** k for k in range(3, 7)))
 
-    def test_network_value_cross_check_by_direct_solve(self):
+    @pytest.mark.parametrize(
+        "weights",
+        [LevelWeights.geometric(0.5), LevelWeights.constant(1.0),
+         LevelWeights.explicit([0.9 ** k * (1 + 0.1 * (k % 3)) for k in range(12)])],
+        ids=["geometric", "constant", "explicit"],
+    )
+    def test_network_value_cross_check_by_direct_solve(self, weights):
+        # the default solve runs over heap indices; it must give the bits of
+        # a solve on build_tree's word-labelled network, for every word pair
+        # up to depth 4 and seeded pairs at depths 5 to 12
+        rng = random.Random(15)
+        pairs = [pair for depth in range(1, 5)
+                 for pair in itertools.combinations(itertools.product((0, 1), repeat=depth), 2)]
+        pairs.append(((0,) * 5, (1,) * 5))
+        for depth in range(5, 13):
+            for _ in range(2):
+                w1, w2 = (tuple(rng.getrandbits(1) for _ in range(depth)) for _ in "12")
+                pairs.append((w1, w2 if w2 != w1 else w1[:-1] + (1 - w1[-1],)))
+        trees = {depth: build_tree(depth, weights) for depth in range(1, 13)}
+        for w1, w2 in pairs:
+            net = trees[len(w1)]
+            br = boundary_resistance(w1, w2, weights)
+            assert br.network_value == resistance(net, w1, w2)
+            assert boundary_resistance(w1, w2, weights, network=net).network_value == br.network_value
+            assert br.network_value == pytest.approx(br.series_sum, rel=1e-9)
+        if weights.kind == "constant":
+            assert boundary_resistance((0,) * 5, (1,) * 5, weights).series_sum == pytest.approx(10.0)
+
+    def test_default_solve_builds_no_word_labels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("build_tree called")
+
+        monkeypatch.setattr(tree, "build_tree", refuse)
+        weights = LevelWeights.geometric(0.5)
+        br = boundary_resistance((0, 1, 1), (1, 0, 1), weights)
+        assert br.network_value == pytest.approx(br.series_sum, rel=1e-12)
+
+    def test_default_solve_refuses_words_not_over_0_1(self):
         weights = LevelWeights.constant(1.0)
-        net = build_tree(5, weights)
-        w1 = (0,) * 5
-        w2 = (1,) * 5
-        br = boundary_resistance(w1, w2, weights, network=net)
-        assert br.network_value == pytest.approx(resistance(net, w1, w2), rel=1e-12)
-        assert br.series_sum == pytest.approx(10.0)
+        for w1, w2 in [((0, 2), (0, 1)), ((0, 1), (-1, 1)), ("01", "10")]:
+            with pytest.raises(ValueError):
+                boundary_resistance(w1, w2, weights)
 
     def test_tail_closed_form(self):
         weights = LevelWeights.geometric(0.5)
