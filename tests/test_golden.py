@@ -293,6 +293,27 @@ def test_binomial_diagnose_csv_matches_golden(name, tmp_path):
     assert out.read_bytes() == golden.encode()
 
 
+# sha256 of ``diagnose`` stdout for the binomial kernel on {0, ..., N} at the
+# benchmark's sizes, written by one elimination for the trace and a second
+# one of the target-deleted Gram for the determinant ratios, before the ratios
+# were read from the trace's exact values; they must match byte for byte.
+BINOMIAL_STDOUT_SHA256 = {
+    (49, "0", "prefix"): "9642b2f0c2544e8ef836cc0ff623123b893a45b9b3492acdaeffca4d17981a9e",
+    (49, "3", "prefix"): "bdc41550ad491fa87d89da7f98346d0444d081115627555c08cbb9a89307a377",
+    (64, "17", "doubling"): "a6ecd6ccf0e88d1d8d7f218c9a99ed65448378b792eab0195e6c1f8e45467bf2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINOMIAL_STDOUT_SHA256), ids=lambda c: "-".join(map(str, c)))
+def test_binomial_diagnose_stdout_matches_golden_hash(case, tmp_path, capsys):
+    n, target, stages = case
+    doc = tmp_path / "binomial.json"
+    doc.write_text(json.dumps({"kernel": {"type": "binomial"}, "points": list(range(n + 1))}))
+    assert cli.main(["diagnose", "--input", str(doc), "--target", target, "--stages", stages]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == BINOMIAL_STDOUT_SHA256[case]
+
+
 # -- float diagnose ------------------------------------------------------------
 
 # sha256 of float ``diagnose`` CSVs, written row by row by the csv module while
