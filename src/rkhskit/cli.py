@@ -372,6 +372,9 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as err:
             print(f"error: cannot read config: {err}", file=sys.stderr)
             return EXIT_INPUT
+        if not isinstance(config, dict):
+            print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args, config)
     except MonotonicityViolation as err:

@@ -14,6 +14,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -129,7 +130,7 @@ class FiltrationTrace:
     values: np.ndarray
     exact_values: tuple | None = None
     verdict: Membership | None = None
-    # (kernel, (gram, t, dets)) of the last stage, as read by trace, for det_ratio_trace
+    # (kernel, a float trace's (gram, t, log_dets) or None), for det_ratio_trace
     _last: tuple | None = field(default=None, repr=False, compare=False)
 
     def increments(self) -> np.ndarray:
@@ -154,26 +155,33 @@ def _reported_stages(filtration: Filtration) -> list:
 
 
 def _last_stage(kernel: Kernel, filtration: Filtration, m: int) -> tuple:
-    """``(gram, t, dets, factor)``: the last stage's Gram, assembled once, the
-    target's index in it, and one factorization of it, which serves every
-    stage as a leading block.  Exact: the leading minors and the target column
-    of one Bareiss pass (:func:`exact.leading_minors`), after a domain check.
-    Float: the log-determinants of the blocks one LAPACK Cholesky serves, and
-    its factor U; a kernel that gives the first ``m`` points (the first reported
-    stage) a different matrix on their own than this Gram's leading block has
-    no block served."""
+    """``(gram, t, log_dets, factor)`` of a float kernel: the last stage's Gram,
+    assembled once, the target's index in it, and one LAPACK Cholesky of it,
+    which serves every stage as a leading block: the log-determinants of the
+    blocks it serves, and its factor U.  A kernel that gives the first ``m``
+    points (the first reported stage) a different matrix on their own than
+    this Gram's leading block has no block served."""
     last = filtration.points
     t = last.index(filtration.target)
-    if kernel.is_exact:
-        check_domain(kernel, last)
-        matrix = kernel.exact_gram(last.labels)
-        minors, column = exact.leading_minors(matrix, t)
-        return matrix, t, minors, column
     a = assemble_gram(kernel, last).matrix
     if m < len(a) and not np.array_equal(assemble_gram(kernel, last.prefix(m)).matrix, a[:m, :m]):
         return a, t, np.empty(0), None
     upper, served = _leading_factor(a)
     return a, t, _log_dets(upper, served), upper
+
+
+def _exact_values(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
+    """Exact projection norms of the target at each reported stage, after a
+    domain check, from one fraction-free elimination of the last stage's exact
+    Gram (:func:`exact.leading_minors`)."""
+    points = filtration.points
+    t = points.index(filtration.target)
+    check_domain(kernel, points)
+    minors, column = exact.leading_minors(kernel.exact_gram(points.labels), t)
+    dets = [1, *minors]       # dets[m] = det of the first m points
+    # norms[m - t - 1]: the norm on the first m points, a running sum from m = t + 1
+    norms = list(accumulate(Fraction(column[k] ** 2, dets[k] * dets[k + 1]) for k in range(t, len(minors))))
+    return tuple(norms[m - t - 1] for m in sizes)
 
 
 def _leading_factor(matrix: np.ndarray):
@@ -289,8 +297,8 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     """Projection norms of the target over every stage containing it.
 
     Every stage is a leading block of the last stage's Gram, so one
-    factorization of that Gram (:func:`_last_stage`) serves them all; the
-    trace keeps the Gram and its determinants for :func:`det_ratio_trace`.
+    factorization of that Gram serves them all; a float trace keeps the Gram
+    and its determinants (:func:`_last_stage`) for :func:`det_ratio_trace`.
     Kernels with an exact integer path carry no rounding at all: one
     fraction-free elimination gives every stage's value as a running sum of
     exact increments, and a zero leading minor raises :class:`SingularGram`.
@@ -303,18 +311,12 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     """
     reported = _reported_stages(filtration)
     sizes = [m for _, m in reported]
-    last = _last_stage(kernel, filtration, sizes[0])
-    exact_values = None
+    exact_values = last = None
     if kernel.is_exact:
-        _, t, minors, column = last
-        dets = [1, *minors]       # dets[m] = det of the first m points
-        norms, acc = {}, Fraction(0)
-        for k in range(t, len(minors)):
-            acc += Fraction(column[k] ** 2, dets[k] * dets[k + 1])
-            norms[k + 1] = acc
-        exact_values = tuple(norms[m] for m in sizes)
+        exact_values = _exact_values(kernel, filtration, sizes)
         values = [float(v) for v in exact_values]
     else:
+        last = _last_stage(kernel, filtration, sizes[0])
         values = _float_values(kernel, filtration, sizes, last)
     _enforce_monotone(values)
     return FiltrationTrace(
@@ -323,7 +325,7 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
         stage_sizes=tuple(sizes),
         values=np.asarray(values, dtype=float),
         exact_values=exact_values,
-        _last=(kernel, last[:3]),
+        _last=(kernel, None if last is None else last[:3]),
     )
 
 
@@ -331,31 +333,27 @@ def det_ratio_trace(kernel: Kernel, filtration: Filtration, trace=None) -> np.nd
     """Minor-over-determinant values per reported stage.
 
     For strictly positive-definite stages, det(target-deleted minor) / det(K)
-    equals the projection norm; computed here entirely from determinants so it
-    stays an independent cross-check of :func:`trace`.  The stages and their
-    target-deleted minors form two nested families, the leading blocks of the
-    last stage's Gram and of that Gram without the target's row and column.
-    On the exact path each family's determinants are the leading minors of
-    one elimination, on the float path they are read from one LAPACK Cholesky
-    factor, under the same pivot threshold and fallback as :func:`trace`.
-    ``trace``, the result of ``trace(kernel, filtration)``, carries the first
-    family, so only the target-deleted Gram is factored; a trace whose target
-    or stage sizes differ from the filtration's raises ``ValueError``, and a
-    trace made with another kernel object has its last stage assembled again.
+    is the projection norm (K^-1)[t, t] by Cramer's rule.  On the exact path
+    each ratio is therefore the correctly rounded exact trace value, equal to
+    :func:`trace` by construction.  On the float path it is an independent
+    cross-check from determinants only: the stages and their target-deleted
+    minors are the leading blocks of the last stage's Gram and of that Gram
+    without the target's row and column, each family read from one LAPACK
+    Cholesky factor, under the same pivot threshold and fallback as
+    :func:`trace`.  ``trace``, the result of ``trace(kernel, filtration)``,
+    carries the exact values or the first family, which are not computed
+    again; a trace whose target or stage sizes differ from the filtration's
+    raises ``ValueError``, and one made with another kernel object is not read.
     """
     sizes = tuple(m for _, m in _reported_stages(filtration))
     if trace is not None and (trace.target, trace.stage_sizes) != (filtration.target, sizes):
         raise ValueError("trace does not belong to this filtration: its target or stage sizes differ")
     traced, last = getattr(trace, "_last", None) or (None, None)
+    if kernel.is_exact:
+        values = trace.exact_values if traced is kernel else _exact_values(kernel, filtration, sizes)
+        return np.asarray([float(v) for v in values], dtype=float)
     if traced is not kernel:
         last = _last_stage(kernel, filtration, sizes[0])
-    if kernel.is_exact:
-        matrix, t, minors = last[:3]
-        keep = [i for i in range(len(matrix)) if i != t]
-        dets = [1, *minors]
-        rest = [1] + exact.leading_minors([[matrix[i][j] for j in keep] for i in keep])[0]
-        # a stage of m points has its target-deleted minor on the first m - 1 others
-        return np.asarray([float(Fraction(rest[m - 1], dets[m])) for m in sizes], dtype=float)
     return np.asarray(_float_det_ratios(kernel, filtration, sizes, last), dtype=float)
 
 

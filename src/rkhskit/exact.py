@@ -5,7 +5,9 @@ kernel).  A nested filtration needs only one fraction-free (Bareiss)
 elimination of its last stage, because every stage is a leading block of it:
 the elimination's pivots are the leading principal minors, so one pass yields
 the determinant of every stage, and the eliminated column of a unit vector
-yields every stage's projection norm (see :func:`leading_minors`).
+yields every stage's projection norm (see :func:`leading_minors`).  By
+Cramer's rule that norm is also the ratio det(target-deleted block) /
+det(block), so the same pass serves the determinant ratios.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from __future__ import annotations
 from .errors import SingularGram
 
 
-def leading_minors(matrix, target=None):
+def leading_minors(matrix, target):
     """Leading principal minors of a symmetric integer matrix in one pass.
 
     Runs a no-swap Bareiss elimination of ``[K | e_target]`` (Bareiss 1968).
     Returns ``(minors, column)``: ``minors[k] = det K[:k+1, :k+1]``, the k-th
-    pivot, and ``column[k]``, the eliminated entry of ``e_target`` in row k
-    (``None`` without a target).  With ``minors[-1]`` read as 1, the
-    projection norm of the target's point mass on the first m points is
+    pivot, and ``column[k]``, the eliminated entry of ``e_target`` in row k.
+    With ``minors[-1]`` read as 1, the projection norm of the target's point
+    mass on the first m points is
 
         (K_m^{-1})[t, t] = sum_{k=t}^{m-1} column[k]^2 / (minors[k-1] minors[k]),
 
@@ -32,10 +34,7 @@ def leading_minors(matrix, target=None):
     :class:`SingularGram` is raised.
     """
     n = len(matrix)
-    rows = [[int(v) for v in row] for row in matrix]
-    if target is not None:
-        for i, row in enumerate(rows):
-            row.append(1 if i == target else 0)
+    rows = [[*map(int, row), int(i == target)] for i, row in enumerate(matrix)]
     minors = []
     prev = 1
     for k in range(n):
@@ -53,5 +52,4 @@ def leading_minors(matrix, target=None):
             aik = row_k[i]
             row_i[i:] = [(v * akk - aik * w) // prev for v, w in zip(row_i[i:], row_k[i:])]
         prev = akk
-    column = [row[n] for row in rows] if target is not None else None
-    return minors, column
+    return minors, [row[n] for row in rows]

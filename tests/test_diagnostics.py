@@ -396,6 +396,11 @@ class TestSharedLastStage:
         ratios = det_ratio_trace(BridgeKernel(), f, trace(BrownianKernel(), f))
         np.testing.assert_allclose(ratios, [6.25, 10.0, 10.0], rtol=1e-12)
         assert ratios.tobytes() == det_ratio_trace(BridgeKernel(), f).tobytes()
+        # nor the binomial trace's exact values (1/6, 1) for the parity kernel's
+        f = Filtration.prefixes([2, 3])
+        ratios = det_ratio_trace(ParityKernel(), f, trace(BinomialKernel(), f))
+        assert ratios.tolist() == [1.0, 2.0]
+        assert ratios.tobytes() == det_ratio_trace(ParityKernel(), f).tobytes()
 
     def _diagnose(self, tmp_path, kind, points, *flags):
         doc = tmp_path / "k.json"
@@ -440,7 +445,7 @@ class TestSharedLastStage:
         monkeypatch.setattr(exact, "leading_minors", counting_minors)
         self._diagnose(tmp_path, "binomial", list(range(12)), "--target", "3")
         assert grams == [12]
-        assert eliminations == [12, 11]
+        assert eliminations == [12]
 
 
 class TestClassify:
@@ -581,7 +586,52 @@ class ParityKernel(Kernel):
         return [[1 + (x % 2) * (y % 2) for y in labels] for x in labels]
 
 
+class FeatureKernel(Kernel):
+    """Exact kernel F F^T from integer feature vectors, one per label 0, 1,
+    ...: positive semidefinite, and singular on any set whose features are
+    linearly dependent.  ParityKernel is the case of features (1, x mod 2)."""
+
+    name = "feature"
+    is_exact = True
+
+    def __init__(self, features):
+        self.features = features
+
+    def __call__(self, x, y) -> float:
+        return float(sum(a * b for a, b in zip(self.features[x], self.features[y])))
+
+    def exact_gram(self, labels):
+        return [[sum(a * b for a, b in zip(self.features[x], self.features[y])) for y in labels]
+                for x in labels]
+
+
 class TestExactRoute:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_rank_deficient_ratios_match_fraction_determinants(self, data):
+        n = data.draw(st.integers(1, 7))
+        rank = data.draw(st.integers(1, 6))
+        features = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                                      min_size=n, max_size=n))
+        kernel = FeatureKernel(features)
+        labels = data.draw(st.permutations(range(n)))
+        target = labels[data.draw(st.integers(0, n - 1))]
+        sizes = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=n))) | {n})
+        filtration = Filtration(labels, sizes, target)
+        try:
+            tr = trace(kernel, filtration)
+        except SingularGram:
+            with pytest.raises(SingularGram):
+                det_ratio_trace(kernel, filtration)
+            return
+        ratios = det_ratio_trace(kernel, filtration)
+        assert ratios.tobytes() == det_ratio_trace(kernel, filtration, tr).tobytes()
+        for ratio, m in zip(ratios, tr.stage_sizes):
+            gram = kernel.exact_gram(labels[:m])
+            t = labels[:m].index(target)
+            minor = [[row[j] for j in range(m) if j != t] for i, row in enumerate(gram) if i != t]
+            assert ratio == float(fraction_det(minor) / fraction_det(gram))
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
     def test_matches_fraction_oracles(self, data):

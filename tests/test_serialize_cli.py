@@ -547,6 +547,27 @@ class TestConfigIntegers:
         assert json.loads(capsys.readouterr().out)["truncation"] == 4
 
 
+class TestConfigObject:
+    """A config must be a JSON object: any other valid JSON is refused before
+    a command runs, never half read or ignored."""
+
+    @pytest.mark.parametrize("value", [[1, 2], 3, "x", None], ids=["list", "int", "str", "null"])
+    @pytest.mark.parametrize("command", ["diagnose", "tree-resistance", "reproduce-tree"])
+    def test_non_object_exits_1(self, brownian_doc, tmp_path, command, value, capsys):
+        argv = {
+            "diagnose": ["diagnose", "--input", brownian_doc],
+            "tree-resistance": ["tree", "resistance", "--w1", "0101", "--w2", "0110"],
+            "reproduce-tree": ["reproduce", "tree", "--depth", "2"],
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        assert run_cli("--config", str(cfg), *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: config") and str(cfg) in captured.err
+
+
 class TestConfigFloats:
     """Classify tolerances read from --config are refused unless they are JSON
     numbers, never read from a bool or parsed from a string."""
