@@ -62,6 +62,16 @@ def _int_opt(args, config: dict, name: str, default) -> int:
     return val
 
 
+def _str_opt(args, config: dict, name: str, default):
+    """:func:`_opt` for a string option: a config value must be a JSON
+    string, so 1 or ``true`` is refused rather than opened as a file
+    descriptor or parsed."""
+    val = _opt(args, config, name, default)
+    if name in config and not isinstance(val, str):
+        raise ValueError(f"option {name!r} must be a string, got {val!r}")
+    return val
+
+
 def _float_opt(args, config: dict, name: str, default) -> float:
     """:func:`_opt` for a float option: a config value must be a JSON number
     that a float holds, so ``true`` or ``"1e-3"`` is refused rather than
@@ -109,7 +119,7 @@ def _cmd_kernel_gram(args, config) -> int:
     kernel, points = load_kernel_doc(_load_json(args.input))
     if len(points) == 0:  # assemble_gram's error, which the exact path never reaches
         raise ValueError("point set must be nonempty")
-    with _output(_opt(args, config, "out", None)) as out:
+    with _output(_str_opt(args, config, "out", None)) as out:
         exact = kernel.exact_gram(points.labels)
         if exact is not None:
             write_matrix_csv(out, points.labels, exact)
@@ -134,7 +144,7 @@ def _diagnose_rows(tr, ratios) -> str:
 
 
 def _cmd_diagnose(args, config) -> int:
-    stages = _opt(args, config, "stages", "prefix")
+    stages = _str_opt(args, config, "stages", "prefix")
     if stages not in STAGES:  # argparse's choices guard only the flag
         raise ValueError(f"unknown stages {stages!r}; choose from {list(STAGES)}")
     doc = _load_json(args.input)
@@ -164,7 +174,7 @@ def _cmd_diagnose(args, config) -> int:
         tau_div=_float_opt(args, config, "tau-div", 1e-3),
         k=_int_opt(args, config, "k", 5),
     )
-    with _output(_opt(args, config, "out", None)) as out:
+    with _output(_str_opt(args, config, "out", None)) as out:
         out.write("stage_index,stage_size,zeta_value,det_ratio,increment\r\n" + _diagnose_rows(tr, ratios))
         doc = _verdict_doc(verdict)
         if ratio_error is not None:
@@ -177,7 +187,7 @@ def _cmd_network(args, config) -> int:
     net = Network.from_json(_load_json(args.network))
     if args.network_cmd == "green":
         kernel = green_kernel(net)
-        with _output(_opt(args, config, "out", None)) as out:
+        with _output(_str_opt(args, config, "out", None)) as out:
             write_matrix_csv(out, kernel.points.labels, net.green_matrix())
         return EXIT_OK
     if args.network_cmd == "resistance":
@@ -190,7 +200,7 @@ def _cmd_network(args, config) -> int:
         green = np.insert(np.insert(net.green_matrix(), base, 0.0, axis=0), base, 0.0, axis=1)
         diag = np.diag(green)
         matrix = (diag[:, None] + diag[None, :]) - (green + green.T)
-        with _output(_opt(args, config, "out", None)) as out:
+        with _output(_str_opt(args, config, "out", None)) as out:
             write_matrix_csv(out, net.vertices.labels, matrix)
         return EXIT_OK
     # delta-norm
@@ -208,13 +218,13 @@ def _cmd_gff(args, config) -> int:
     seed = _int_opt(args, config, "seed", DEFAULT_SEED)
     draws = gff.sample(gram, n, seed)
     if args.gff_cmd == "sample":
-        with _output(_opt(args, config, "out", None)) as out:
+        with _output(_str_opt(args, config, "out", None)) as out:
             write_matrix_csv(out, gram.points.labels, draws.samples)
         return EXIT_OK
     emp = gff.empirical_covariance(draws)
     se = gff.covariance_standard_error(gram, n)
     worst = float(np.max(np.abs(emp - gram.matrix) / se))
-    with _output(_opt(args, config, "out", None)) as out:
+    with _output(_str_opt(args, config, "out", None)) as out:
         write_matrix_csv(out, gram.points.labels, emp)
         out.write(
             json.dumps(
@@ -227,11 +237,11 @@ def _cmd_gff(args, config) -> int:
 
 
 def _cmd_tree(args, config) -> int:
-    weights = LevelWeights.parse(_opt(args, config, "weights", "geometric:0.5"))
+    weights = LevelWeights.parse(_str_opt(args, config, "weights", "geometric:0.5"))
     if args.tree_cmd == "histogram":
         depth = _int_opt(args, config, "depth", 10)
         rows = energy_histogram(depth, weights)
-        with _output(_opt(args, config, "out", None)) as out:
+        with _output(_str_opt(args, config, "out", None)) as out:
             writer = csv.writer(out)
             writer.writerow(["level", "energy", "multiplicity", "uses_level0_convention"])
             for row in rows:

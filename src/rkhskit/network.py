@@ -31,8 +31,11 @@ class Network:
     as index arrays: ``_ends`` (E x 2 vertex indices) and ``_cond``, in input
     order; neighbours are slices of one CSR built from them, in edge order.
     Instances are immutable after construction and safe to share across
-    threads; the sparse LU factor of the grounded Laplacian and the Green
-    matrix are each computed once under a lock.
+    threads; the grounded Laplacian's one sparse factor and the Green matrix
+    are each computed once under a lock.  That Laplacian is symmetric
+    positive definite, so SuperLU factors it in symmetric mode: a
+    minimum-degree ordering of A + Aᵀ and diagonal pivots, one permutation
+    P with Pᵀ A P = L U.
     """
 
     def __init__(self, vertices, base, edges):
@@ -86,7 +89,7 @@ class Network:
         self._grounded_points = None  # V \ {base} as a PointSet, built on first use
         # reentrant: building the Green matrix solves through the same guard
         self._lock = threading.RLock()
-        self._grounded = None       # cached sparse LU of the grounded Laplacian
+        self._grounded = None       # cached symmetric-mode SuperLU factor of the grounded Laplacian
         self._green = None          # cached Green matrix over V \ {base}
 
     def _validate(self):
@@ -200,8 +203,10 @@ class Network:
                     u, v, c = u[off] - (u[off] > b), v[off] - (v[off] > b), c[off]
                     rows, cols = np.concatenate([np.arange(n), u, v]), np.concatenate([np.arange(n), v, u])
                     lap = scipy.sparse.csc_matrix((np.concatenate([diag, -c, -c]), (rows, cols)), shape=(n, n))
+                    # SPD: minimum degree on A + Aᵀ and diagonal pivots give Pᵀ A P = L U
                     try:
-                        ground = scipy.sparse.linalg.splu(lap)
+                        ground = scipy.sparse.linalg.splu(lap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                                          options={"SymmetricMode": True})
                     except RuntimeError as err:  # pragma: no cover
                         raise Disconnected(f"grounded system is singular: {err}") from err
                     self._grounded = ground

@@ -88,6 +88,8 @@ class LevelWeights:
     def parse(cls, spec: str) -> "LevelWeights":
         """Parse ``geometric:q``, ``constant:c``, or ``file:path`` (one
         resistance per line, line n = r(n))."""
+        if not isinstance(spec, str):
+            raise ValueError(f"weight spec must be a string, got {spec!r}")
         kind, _, arg = spec.partition(":")
         if kind == "geometric":
             return cls.geometric(float(arg))

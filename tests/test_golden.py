@@ -508,7 +508,7 @@ TREE_RESISTANCE_STDOUT = {
         '  "tail_value": 0.25,\n  "truncation": 11\n}\n'
     ),
     ("00000000000", "11111111111"): (
-        '{\n  "meet_level": 0,\n  "network_value": 3.9980468750010516,\n  "series_sum": 3.998046875,\n'
+        '{\n  "meet_level": 0,\n  "network_value": 3.998046875,\n  "series_sum": 3.998046875,\n'
         '  "tail_value": 4.0,\n  "truncation": 11\n}\n'
     ),
     ("010011100101", "010011100110"): (
@@ -516,7 +516,7 @@ TREE_RESISTANCE_STDOUT = {
         '  "tail_value": 0.00390625,\n  "truncation": 12\n}\n'
     ),
     ("000000000000", "111111111111"): (
-        '{\n  "meet_level": 0,\n  "network_value": 3.9990234375000098,\n  "series_sum": 3.9990234375,\n'
+        '{\n  "meet_level": 0,\n  "network_value": 3.9990234375,\n  "series_sum": 3.9990234375,\n'
         '  "tail_value": 4.0,\n  "truncation": 12\n}\n'
     ),
 }
@@ -531,8 +531,8 @@ def test_deep_tree_resistance_stdout_matches_golden(words, capsys):
 
 # sha256 of the CLI's CSV bytes for grid_network()
 GRID_CSV_SHA256 = {
-    "green": "57c2e20d1e0086b7cf131a9dbc4f301d5875103351db488faf65f0bf47c7614d",
-    "resistance": "43299c0e9ee5d5bb6dd09899db277427e7851876ced0f5e2e441a34da444d146",
+    "green": "401f54b6c90101190d05f8508223bbad35a9b317d24231cd0816b2860577d345",
+    "resistance": "32d278ffd84b46c399a85c06699b589223d02ca699a2b643e9c0b848a344346c",
 }
 
 

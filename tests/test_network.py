@@ -384,18 +384,69 @@ class TestGroundedAssembly:
         rng = np.random.default_rng(40)
         n = 40
         edges = [(i, j, float(rng.uniform(0.5, 2.0))) for i in range(n) for j in range(i + 1, n)]
-        factored = []
+        factored, options = [], []
         splu = scipy.sparse.linalg.splu
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: factored.append(a) or splu(a))
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "splu", lambda a, **kw: factored.append(a) or options.append(kw) or splu(a, **kw)
+        )
         diagonals = {}
         for base in (0, 17, 39):
             Network(range(n), base, edges).grounded_solve(np.ones(n - 1))
             diagonals[base] = np.insert(factored[-1].diagonal(), base, np.nan)
+        # the grounded Laplacian is SPD: every factor is asked for symmetric mode
+        symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        assert options == [symmetric] * 3
         for b1 in diagonals:
             for b2 in diagonals:
                 keep = np.ones(n, dtype=bool)
                 keep[[b1, b2]] = False
                 assert diagonals[b1][keep].tobytes() == diagonals[b2][keep].tobytes(), (b1, b2)
+
+
+def _dense_grounded_laplacian(net):
+    """The Laplacian off the base's row and column, assembled densely from
+    the edge list, in grounded-vertex order."""
+    n = len(net.vertices)
+    lap = np.zeros((n, n))
+    for u, v, c in net.edges:
+        i, j = net.index(u), net.index(v)
+        lap[i, i] += c
+        lap[j, j] += c
+        lap[i, j] -= c
+        lap[j, i] -= c
+    b = net.index(net.base)
+    return np.delete(np.delete(lap, b, axis=0), b, axis=1)
+
+
+def _grid(rng, side):
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            v = side * i + j
+            if j < side - 1:
+                edges.append((v, v + 1, float(rng.uniform(0.25, 4.0))))
+            if i < side - 1:
+                edges.append((v, v + side, float(rng.uniform(0.25, 4.0))))
+    return Network(list(range(side * side)), 0, edges)
+
+
+class TestSymmetricFactor:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda seed=seed: random_connected_network(np.random.default_rng(seed), 30) for seed in (1, 2, 3, 4)]
+        + [lambda: _grid(np.random.default_rng(66), 6),
+           lambda: build_tree(7, LevelWeights.geometric(0.5)),
+           lambda: build_tree(7, LevelWeights.constant(1.0))],
+        ids=["random-1", "random-2", "random-3", "random-4", "grid-6x6", "tree-7-geometric", "tree-7-constant"],
+    )
+    def test_one_permutation_and_green_matches_dense_inverse(self, make):
+        net = make()
+        factor = net._grounded_system()
+        # diagonal pivots: the row permutation is the column permutation
+        assert np.array_equal(factor.perm_r, factor.perm_c)
+        want = np.linalg.inv(_dense_grounded_laplacian(net))
+        got = net.green_matrix()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestConcurrency:
@@ -510,3 +561,21 @@ class TestDeepTree:
             got = resistance(net, w1, w2)
             assert abs(got - series) <= 1e-9 * (1.0 + series), (w1, w2, got, series)
             pairs += 1
+
+    @pytest.mark.parametrize("depth,count", [(11, 200), (12, 100)])
+    def test_geometric_half_leaf_resistances_are_exact_to_rounding(self, depth, count):
+        # with r(n) = 2^-n every series sum is a dyadic rational, and the
+        # symmetric factor of the grounded Laplacian meets it within 1e-14
+        # (1 + s); the opposite ends of the tree are the worst case
+        net = build_tree(depth, LevelWeights.geometric(0.5))
+        rng = np.random.default_rng(1214)
+        pairs = [((0,) * depth, (1,) * depth)]
+        while len(pairs) < count:
+            w1, w2 = (tuple(int(b) for b in rng.integers(0, 2, depth)) for _ in range(2))
+            if w1 != w2:
+                pairs.append((w1, w2))
+        for w1, w2 in pairs:
+            meet = next(n for n in range(depth) if w1[n] != w2[n])
+            series = 2.0 * sum(0.5 ** n for n in range(meet, depth))
+            got = resistance(net, w1, w2)
+            assert abs(got - series) <= 1e-14 * (1.0 + series), (w1, w2, got, series)

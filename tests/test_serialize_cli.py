@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rkhskit
 import rkhskit.cli as cli
 from rkhskit import (
     BrownianKernel,
@@ -599,6 +604,76 @@ class TestConfigFloats:
         argv = ["--config", str(cfg), "diagnose", "--input", brownian_doc, "--tau-stab", "1e-3"]
         assert run_cli(*argv) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["tolerances"]["tau_stab"] == 1e-3
+
+
+# runs diagnose twice in one process under the config in argv[1], then
+# prints both exit codes: stdout must still be open for the print
+TWICE = """
+import json, sys
+from rkhskit import cli
+codes = [cli.main(["--config", sys.argv[1], "diagnose", "--input", sys.argv[2]]) for _ in range(2)]
+print(json.dumps(codes))
+"""
+
+
+class TestConfigStrings:
+    """String options read from --config are refused unless they are JSON
+    strings: an integer or a bool ``out`` is never opened as a file
+    descriptor, and a non-string ``weights`` or ``stages`` exits 1 with no
+    traceback."""
+
+    @pytest.mark.parametrize("value", [1, True, 7], ids=["fd-1", "true", "fd-7"])
+    def test_integer_out_leaves_stdout_open(self, brownian_doc, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": value}))
+        src = str(Path(rkhskit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        child = subprocess.run(
+            [sys.executable, "-c", TWICE, str(cfg), brownian_doc], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "[1, 1]\n"
+        assert "Traceback" not in child.stderr
+        assert child.stderr.splitlines() == [f"error: option 'out' must be a string, got {value!r}"] * 2
+
+    @pytest.mark.parametrize("value", [2.5, ["x.csv"], {"path": "x.csv"}, None], ids=["float", "list", "object", "null"])
+    def test_non_string_out_exits_1(self, brownian_doc, tmp_path, value, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": value}))
+        assert run_cli("--config", str(cfg), "diagnose", "--input", brownian_doc) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: option 'out' must be a string")
+
+    @pytest.mark.parametrize("value", [3, 0.5, True, ["geometric:0.5"], None], ids=["int", "float", "true", "list", "null"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("histogram", "--depth", "2"), ("resistance", "--w1", "0101", "--w2", "0110")],
+        ids=["histogram", "resistance"],
+    )
+    def test_non_string_weights_exits_1(self, tmp_path, argv, value, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weights": value}))
+        assert run_cli("--config", str(cfg), "tree", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: option 'weights' must be a string")
+
+    @pytest.mark.parametrize("value", [3, ["prefix"], None], ids=["int", "list", "null"])
+    def test_non_string_stages_exits_1(self, brownian_doc, tmp_path, value, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stages": value}))
+        assert run_cli("--config", str(cfg), "diagnose", "--input", brownian_doc) == 1
+        assert capsys.readouterr().err.startswith("error: option 'stages' must be a string")
+
+    def test_string_values_are_read(self, tmp_path, capsys):
+        out = tmp_path / "hist.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(out), "weights": "constant:2", "depth": 3}))
+        assert run_cli("--config", str(cfg), "tree", "histogram") == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text().splitlines()[-1]) == {"depth": 3, "r0": 2.0, "weights": "constant:2.0"}
 
 
 class TestTreeCommands:

@@ -52,6 +52,11 @@ class TestLevelWeights:
         with pytest.raises(ValueError):
             LevelWeights.parse("poly:2")
 
+    @pytest.mark.parametrize("spec", [3, 0.5, None, ["geometric:0.5"]])
+    def test_parse_refuses_a_non_string(self, spec):
+        with pytest.raises(ValueError, match="must be a string"):
+            LevelWeights.parse(spec)
+
     def test_summability(self):
         assert LevelWeights.geometric(0.5).summable
         assert not LevelWeights.geometric(1.0).summable
