@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +374,49 @@ def _shared_stage_cases():
 
 
 SHARED_STAGE_CASES = _shared_stage_cases()
+
+# sha256 of each shared-stage case's determinant ratios (their float64
+# bytes), or the message of the RKHSKitError the ratio step raised, pinned
+# from ``det_ratio_trace`` without a trace.  OpenBLAS's Cholesky of the
+# bridge case's 200-point Gram rounds differently under one thread than under
+# two, so every case runs in a child process started with that many threads.
+SHARED_STAGE_RATIOS = {
+    "binomial": "ad73cbf5d61c322d4f424dbec63744723c9d572d8811b4dba4a1914bec68bf35",
+    "bridge-doubling": {
+        1: "26ea39a62c1dd7b59a9e93050a901aa25576896f39a09608b0f6035d1f5c9087",
+        2: "09ce006e09f29c2aa16ad156be97d3753ba0979f4d26603b7c36eb313c96b7d4",
+    },
+    "brownian-prefix": "3f1a744cbd39e06ddd8cef67b535c64bee2e838b8e8472788ca08170cc3ff9ce",
+    "inconsistent": "bec73663285d48f1a8050b9fe01a81952f0a40f92f95d46ec4a5954e3e8595f9",
+    "late-pivot": "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=3)",
+    "semidefinite-mid": "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=1)",
+}
+
+RATIO_CHILD = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from rkhskit import RKHSKitError, det_ratio_trace
+from test_diagnostics import SHARED_STAGE_CASES
+
+for name, (kernel, filtration) in sorted(SHARED_STAGE_CASES.items()):
+    try:
+        print(name, hashlib.sha256(det_ratio_trace(kernel, filtration).tobytes()).hexdigest())
+    except RKHSKitError as err:
+        print(name, err)
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shared_stage_ratios_match_golden(threads):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", RATIO_CHILD, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        f"{name} {golden[threads] if isinstance(golden, dict) else golden}"
+        for name, golden in sorted(SHARED_STAGE_RATIOS.items())
+    ]
 
 
 class TestSharedLastStage:

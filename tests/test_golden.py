@@ -388,6 +388,30 @@ def test_float_diagnose_csv_matches_golden_hash(threads, tmp_path):
     ]
 
 
+# ``diagnose --k 1`` stdout on a 4-point table whose points 1 and 2 share one
+# section: every stage has a norm, but the target-deleted minor of stage 3 is
+# singular, so the det_ratio column is blank and the verdict line says why.
+RANK_DEFICIENT_STDOUT = (
+    "stage_index,stage_size,zeta_value,det_ratio,increment\r\n"
+    "1,1,1,,\r\n"
+    "2,2,1,,0\r\n"
+    "3,3,1,,0\r\n"
+    "4,4,1,,0\r\n"
+    '{"det_ratio_unavailable": "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=1)", '
+    '"limit": 1.0, "stage": 1, "tolerances": {"k": 1, "tau_div": 0.001, "tau_stab": 1e-10}, '
+    '"verdict": "Stabilized"}\n'
+)
+
+
+def test_rank_deficient_diagnose_stdout_matches_golden(tmp_path, capsys):
+    entries = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 2]]
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps({"kernel": {"type": "table", "labels": [0, 1, 2, 3], "entries": entries},
+                               "points": [0, 1, 2, 3]}))
+    assert cli.main(["diagnose", "--input", str(doc), "--k", "1"]) == 0
+    assert capsys.readouterr().out == RANK_DEFICIENT_STDOUT
+
+
 # -- networks ---------------------------------------------------------------
 
 
