@@ -50,7 +50,6 @@ from .diagnostics import (
     Membership,
     Stabilized,
     classify,
-    det_ratio_trace,
     trace,
 )
 from .errors import (

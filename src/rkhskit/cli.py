@@ -23,7 +23,7 @@ import numpy as np
 from . import gff
 from .builtin import binomial_eval
 from .core import assemble_gram, check_domain
-from .diagnostics import Filtration, classify, det_ratio_trace, trace
+from .diagnostics import Filtration, classify, trace
 from .errors import MonotonicityViolation, RKHSKitError
 from .network import Network, delta_norm_sq, green_kernel, resistance
 from .reproduce import SUITES
@@ -128,11 +128,11 @@ def _cmd_kernel_gram(args, config) -> int:
     return EXIT_OK
 
 
-def _diagnose_rows(tr, ratios) -> str:
+def _diagnose_rows(tr) -> str:
     """The diagnose table's rows as the csv module writes them, from one row
     template: exact values through :func:`fmt`, floats as ``%.17g``, a blank
-    det_ratio column when ``ratios`` is None and a blank first increment."""
-    exact = tr.exact_values is not None
+    det_ratio column when the trace has no ratios and a blank first increment."""
+    exact, ratios = tr.exact_values is not None, tr.det_ratios
     columns = [tr.stage_indices, tr.stage_sizes,
                [fmt(v) for v in tr.exact_values] if exact else tr.values.tolist()]
     if ratios is not None:
@@ -163,11 +163,6 @@ def _cmd_diagnose(args, config) -> int:
         Filtration.doubling(labels, target) if stages == "doubling" else Filtration.prefixes(labels, target)
     )
     tr = trace(kernel, filtration)
-    ratios, ratio_error = None, None
-    try:
-        ratios = det_ratio_trace(kernel, filtration, tr)
-    except RKHSKitError as err:
-        ratio_error = str(err)  # rank-deficient stages have no determinant ratio
     verdict = classify(
         tr,
         tau_stab=_float_opt(args, config, "tau-stab", 1e-10),
@@ -175,10 +170,10 @@ def _cmd_diagnose(args, config) -> int:
         k=_int_opt(args, config, "k", 5),
     )
     with _output(_str_opt(args, config, "out", None)) as out:
-        out.write("stage_index,stage_size,zeta_value,det_ratio,increment\r\n" + _diagnose_rows(tr, ratios))
+        out.write("stage_index,stage_size,zeta_value,det_ratio,increment\r\n" + _diagnose_rows(tr))
         doc = _verdict_doc(verdict)
-        if ratio_error is not None:
-            doc["det_ratio_unavailable"] = ratio_error
+        if tr.det_ratio_unavailable is not None:
+            doc["det_ratio_unavailable"] = tr.det_ratio_unavailable
         out.write(json.dumps(doc, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -191,8 +186,11 @@ def _cmd_network(args, config) -> int:
             write_matrix_csv(out, kernel.points.labels, net.green_matrix())
         return EXIT_OK
     if args.network_cmd == "resistance":
-        if args.x is not None and args.y is not None:
-            print(fmt(resistance(net, json.loads(args.x), json.loads(args.y))))
+        if (args.x is None) != (args.y is None):
+            raise ValueError("resistance needs both --x and --y, or neither for the full matrix")
+        if args.x is not None:
+            with _output(_str_opt(args, config, "out", None)) as out:
+                out.write(fmt(resistance(net, json.loads(args.x), json.loads(args.y))) + "\n")
             return EXIT_OK
         # R_xy = G_xx + G_yy - 2 G_xy with G zero on the base's row and
         # column; summed in pairs so R is exactly symmetric, zero on the diagonal
@@ -206,7 +204,8 @@ def _cmd_network(args, config) -> int:
     # delta-norm
     if args.x is None:
         raise ValueError("delta-norm needs --x")
-    print(fmt(delta_norm_sq(net, json.loads(args.x))))
+    with _output(_str_opt(args, config, "out", None)) as out:
+        out.write(fmt(delta_norm_sq(net, json.loads(args.x))) + "\n")
     return EXIT_OK
 
 
@@ -324,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         if name != "green":
             p.add_argument("--x")
+        if name == "resistance":
             p.add_argument("--y")
 
     gffp = sub.add_parser("gff", help="sample a Gaussian field on a network")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -29,7 +29,7 @@ from .core import (
     log_det,
     projection_norm_sq,
 )
-from .errors import MonotonicityViolation, TooFewStages
+from .errors import MonotonicityViolation, RKHSKitError, TooFewStages
 
 # A decrease beyond this slack along a filtration is a numerical failure.
 MONOTONE_ATOL = 1e-9
@@ -61,11 +61,6 @@ class Filtration:
             raise ValueError(f"target {self.target!r} never enters the filtration")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def stages(self) -> tuple:
-        """Each stage as its own point set, built on every read."""
-        return tuple(self.points.prefix(m) for m in self.sizes)
 
     @classmethod
     def prefixes(cls, points, target=None) -> "Filtration":
@@ -122,16 +117,17 @@ Membership = Stabilized | Converging | Diverging | Inconclusive
 
 @dataclass
 class FiltrationTrace:
-    """Projection norms of the target point mass along the reported stages."""
+    """Projection norms of the target point mass along the reported stages,
+    and the same norms as determinant ratios (see :func:`trace`)."""
 
     target: object
     stage_indices: tuple      # 1-based positions within the filtration
     stage_sizes: tuple
     values: np.ndarray
     exact_values: tuple | None = None
+    det_ratios: np.ndarray | None = None
+    det_ratio_unavailable: str | None = None  # why det_ratios is None
     verdict: Membership | None = None
-    # (kernel, a float trace's (gram, t, log_dets) or None), for det_ratio_trace
-    _last: tuple | None = field(default=None, repr=False, compare=False)
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
@@ -294,67 +290,55 @@ def _float_det_ratios(kernel: Kernel, filtration: Filtration, sizes: list, last:
 
 
 def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
-    """Projection norms of the target over every stage containing it.
+    """Projection norms and determinant ratios of the target over every stage
+    containing it.
 
     Every stage is a leading block of the last stage's Gram, so one
-    factorization of that Gram serves them all; a float trace keeps the Gram
-    and its determinants (:func:`_last_stage`) for :func:`det_ratio_trace`.
-    Kernels with an exact integer path carry no rounding at all: one
-    fraction-free elimination gives every stage's value as a running sum of
-    exact increments, and a zero leading minor raises :class:`SingularGram`.
-    Float stages are read from one LAPACK Cholesky factor, each checked
-    against the pivot threshold and the solve's residual contract; from the
-    first stage that fails a check, stages are assembled and solved on their
-    own by the pivoted path.  A float value therefore carries the rounding of
-    the whole factor, within the residual contract, and is not bit-identical
-    to a solve of that stage on its own.
+    factorization of that Gram serves them all.  Kernels with an exact
+    integer path carry no rounding at all: one fraction-free elimination
+    gives every stage's value as a running sum of exact increments, and a
+    zero leading minor raises :class:`SingularGram`.  Float stages are read
+    from one LAPACK Cholesky factor, each checked against the pivot threshold
+    and the solve's residual contract; from the first stage that fails a
+    check, stages are assembled and solved on their own by the pivoted path.
+    A float value therefore carries the rounding of the whole factor, within
+    the residual contract, and is not bit-identical to a solve of that stage
+    on its own.
+
+    The determinant ratios det(target-deleted minor) / det(K) are the same
+    norms (K^-1)[t, t] by Cramer's rule.  On the exact path each is the
+    correctly rounded exact value.  On the float path they are an independent
+    cross-check from determinants only (:func:`_float_det_ratios`), computed
+    once the values passed the monotonicity check; a stage without a ratio
+    (a semidefinite minor, say) leaves ``det_ratios`` None and the error's
+    message in ``det_ratio_unavailable``.
     """
     reported = _reported_stages(filtration)
     sizes = [m for _, m in reported]
-    exact_values = last = None
+    exact_values = None
     if kernel.is_exact:
         exact_values = _exact_values(kernel, filtration, sizes)
         values = [float(v) for v in exact_values]
     else:
         last = _last_stage(kernel, filtration, sizes[0])
         values = _float_values(kernel, filtration, sizes, last)
+        last = last[:3]  # free the factor U before the ratios factor the minor
     _enforce_monotone(values)
+    ratios = error = None
+    try:  # the exact ratios are the values, in an array of their own
+        ratios = np.asarray(values if kernel.is_exact else _float_det_ratios(kernel, filtration, sizes, last),
+                            dtype=float)
+    except RKHSKitError as err:
+        error = str(err)
     return FiltrationTrace(
         target=filtration.target,
         stage_indices=tuple(pos for pos, _ in reported),
         stage_sizes=tuple(sizes),
         values=np.asarray(values, dtype=float),
         exact_values=exact_values,
-        _last=(kernel, None if last is None else last[:3]),
+        det_ratios=ratios,
+        det_ratio_unavailable=error,
     )
-
-
-def det_ratio_trace(kernel: Kernel, filtration: Filtration, trace=None) -> np.ndarray:
-    """Minor-over-determinant values per reported stage.
-
-    For strictly positive-definite stages, det(target-deleted minor) / det(K)
-    is the projection norm (K^-1)[t, t] by Cramer's rule.  On the exact path
-    each ratio is therefore the correctly rounded exact trace value, equal to
-    :func:`trace` by construction.  On the float path it is an independent
-    cross-check from determinants only: the stages and their target-deleted
-    minors are the leading blocks of the last stage's Gram and of that Gram
-    without the target's row and column, each family read from one LAPACK
-    Cholesky factor, under the same pivot threshold and fallback as
-    :func:`trace`.  ``trace``, the result of ``trace(kernel, filtration)``,
-    carries the exact values or the first family, which are not computed
-    again; a trace whose target or stage sizes differ from the filtration's
-    raises ``ValueError``, and one made with another kernel object is not read.
-    """
-    sizes = tuple(m for _, m in _reported_stages(filtration))
-    if trace is not None and (trace.target, trace.stage_sizes) != (filtration.target, sizes):
-        raise ValueError("trace does not belong to this filtration: its target or stage sizes differ")
-    traced, last = getattr(trace, "_last", None) or (None, None)
-    if kernel.is_exact:
-        values = trace.exact_values if traced is kernel else _exact_values(kernel, filtration, sizes)
-        return np.asarray([float(v) for v in values], dtype=float)
-    if traced is not kernel:
-        last = _last_stage(kernel, filtration, sizes[0])
-    return np.asarray(_float_det_ratios(kernel, filtration, sizes, last), dtype=float)
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:

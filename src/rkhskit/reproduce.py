@@ -156,9 +156,11 @@ def reproduce_tree(depth: int = 6) -> list[Check]:
     checks.append(Check("interior energies match 2/r(l) + 1/r(l-1)", ok, "see suite", "closed form"))
     w1 = (0,) * depth
     w2 = (1,) + (0,) * (depth - 1)
-    br = boundary_resistance(w1, w2, weights, network=net)
-    ok = br.network_value is not None and _close(br.network_value, br.series_sum, 1e-9)
-    checks.append(Check("boundary resistance equals series sum", ok, br.network_value, br.series_sum))
+    # solved on the tree built above, so the check holds at every depth, not
+    # only where boundary_resistance solves (truncation <= 12)
+    solved = resistance(net, w1, w2)
+    series = boundary_resistance(w1, w2, weights).series_sum
+    checks.append(Check("boundary resistance equals series sum", _close(solved, series, 1e-9), solved, series))
     rows = energy_histogram(depth, weights)
     total = sum(r.multiplicity for r in rows)
     checks.append(Check("histogram multiplicities sum to 2^depth - 2", total == 2 ** depth - 2, total, 2 ** depth - 2))

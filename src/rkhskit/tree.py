@@ -211,24 +211,16 @@ class BoundaryResistance:
     tail_value: float | None     # 2 * infinite tail sum, when in closed form
 
 
-def boundary_resistance(
-    w1: Word,
-    w2: Word,
-    weights: LevelWeights,
-    *,
-    network: Network | None = None,
-    solve: bool | None = None,
-) -> BoundaryResistance:
+def boundary_resistance(w1: Word, w2: Word, weights: LevelWeights) -> BoundaryResistance:
     """Distance between two distinct rays truncated at the same depth.
 
     Tree paths are series circuits, so the resistance is twice the sum of
     level resistances from the meet level up to the truncation.  A network
-    solve cross-checks that when requested; by default it runs when
-    ``truncation <= 12`` or whenever ``network=`` is given.  Without
-    ``network=`` the solve runs on :func:`build_tree`'s network over the heap
-    indices ``0 .. 2^(truncation+1) - 2`` in place of the words: the same
-    edges and conductances, so the same factor and the same value bit for
-    bit, with no word labels built.
+    solve cross-checks that when ``truncation <= 12``.  It runs on
+    :func:`build_tree`'s network over the heap indices
+    ``0 .. 2^(truncation+1) - 2`` in place of the words: the same edges and
+    conductances, so the same factor and the same value bit for bit, with no
+    word labels built.
     """
     if len(w1) != len(w2):
         raise ValueError("both words must be truncated at the same depth")
@@ -237,15 +229,10 @@ def boundary_resistance(
     truncation = len(w1)
     meet = meet_level(w1, w2)
     series = 2.0 * weights.partial_sum(meet, truncation)
-    if solve is None:
-        solve = network is not None or truncation <= 12
     network_value = None
-    if solve:
-        if network is not None:
-            network_value = resistance(network, w1, w2)
-        else:
-            net = _tree_network(truncation, weights, range((2 << truncation) - 1))
-            network_value = resistance(net, _heap_index(w1), _heap_index(w2))
+    if truncation <= 12:
+        net = _tree_network(truncation, weights, range((2 << truncation) - 1))
+        network_value = resistance(net, _heap_index(w1), _heap_index(w2))
     tail = weights.tail_sum(meet)
     return BoundaryResistance(
         meet=meet,

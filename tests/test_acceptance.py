@@ -255,10 +255,10 @@ def test_criterion_10_tree_energies_and_boundary():
             assert closed == delta_norm_sq(net, word)  # exact dyadic sums
     w1 = (0,) * depth
     w2 = (0, 0, 1) + (0,) * (depth - 3)
-    br = boundary_resistance(w1, w2, weights, network=net)
+    br = boundary_resistance(w1, w2, weights)
     assert br.network_value is not None
     assert abs(br.network_value - br.series_sum) <= 1e-9 * (1.0 + br.series_sum)
-    deep = boundary_resistance((0,) * 24, (1,) + (0,) * 23, weights, solve=False)
+    deep = boundary_resistance((0,) * 24, (1,) + (0,) * 23, weights)
     assert abs(deep.series_sum - deep.tail_value) <= 1e-6
     rows = energy_histogram(depth, weights)
     assert sum(row.multiplicity for row in rows) == 2 ** depth - 2

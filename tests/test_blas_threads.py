@@ -26,7 +26,7 @@ import rkhskit
 CHILD = """
 import hashlib, json
 from rkhskit import (BridgeKernel, Filtration, LevelWeights, assemble_gram, build_tree,
-                     det_ratio_trace, green_kernel, trace)
+                     green_kernel, trace)
 from rkhskit import core
 from rkhskit.core import _unpermuted_factor
 
@@ -47,9 +47,8 @@ original = core._pivoted_cholesky
 core._pivoted_cholesky = lambda matrix: pivoted.append(len(matrix)) or original(matrix)
 filtration = Filtration.prefixes([k / 301 for k in range(1, 301)], target=150 / 301)
 tr = trace(BridgeKernel(), filtration)
-ratios = det_ratio_trace(BridgeKernel(), filtration, tr)
 print("served", len(tr.values) - len(pivoted), len(tr.values))
-print(json.dumps([tr.values.tolist(), ratios.tolist()]))
+print(json.dumps([tr.values.tolist(), tr.det_ratios.tolist()]))
 """
 
 

@@ -42,7 +42,6 @@ from rkhskit import (
     TooFewStages,
     assemble_gram,
     classify,
-    det_ratio_trace,
     log_det,
     projection_norm_sq,
     trace,
@@ -52,12 +51,12 @@ from rkhskit import (
 class TestFiltration:
     def test_prefix_constructor(self):
         f = Filtration.prefixes([1, 2, 3], target=1)
-        assert [len(s) for s in f.stages] == [1, 2, 3]
-        assert f.stages[1].labels == (1, 2)
+        assert f.sizes == (1, 2, 3)
+        assert f.points.prefix(f.sizes[1]).labels == (1, 2)
 
     def test_doubling_constructor(self):
         f = Filtration.doubling(list(range(20)), target=0)
-        assert [len(s) for s in f.stages] == [1, 2, 4, 8, 16, 20]
+        assert f.sizes == (1, 2, 4, 8, 16, 20)
         assert Filtration.doubling(range(16)).sizes == (1, 2, 4, 8, 16)
         assert Filtration.doubling([5]).sizes == (1,)
 
@@ -65,7 +64,7 @@ class TestFiltration:
         f = Filtration([3, 1, 2], (1, 3), target=1)
         assert f.points == PointSet((3, 1, 2))
         assert f.sizes == (1, 3)
-        assert [s.labels for s in f.stages] == [(3,), (3, 1, 2)]
+        assert [f.points.prefix(m).labels for m in f.sizes] == [(3,), (3, 1, 2)]
 
     def test_rejects_non_prefix_stages(self):
         # sizes that repeat, start at 0, stop short, fall, overshoot, or are absent
@@ -162,11 +161,10 @@ class TestTrace:
         rng = np.random.default_rng(60)
         pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 60)))]
         kernel, filtration = BrownianKernel(), Filtration.prefixes(pts, target=pts[0])
-        trace(kernel, filtration)
-        det_ratio_trace(kernel, filtration)
+        assert trace(kernel, filtration).det_ratios is not None
         assert calls == []
         # a stage assembled on its own still takes the pivoted path
-        projection_norm_sq(assemble_gram(kernel, filtration.stages[-1]), pts[0])
+        projection_norm_sq(assemble_gram(kernel, filtration.points), pts[0])
         assert calls == [60]
 
 
@@ -189,10 +187,14 @@ def _count_pivoted(monkeypatch):
     return calls
 
 
+def _stages(filtration):
+    return [filtration.points.prefix(m) for m in filtration.sizes]
+
+
 def _fresh_stage_values(kernel, filtration):
     return [
         projection_norm_sq(assemble_gram(kernel, stage), filtration.target)
-        for stage in filtration.stages
+        for stage in _stages(filtration)
         if filtration.target in stage
     ]
 
@@ -206,17 +208,16 @@ class TestOneFactorFallback:
         filtration = Filtration.prefixes([1.0, 2.0, 3.5, 5.0], target=2.0)
         want = _fresh_stage_values(kernel, filtration)
         calls = _count_pivoted(monkeypatch)
-        assert trace(kernel, filtration).values.tolist() == want
-        assert calls == [2, 3, 4]
-        calls.clear()
-        ratios = det_ratio_trace(kernel, filtration)
-        assert calls == [1, 2, 2, 3, 3, 4]
+        tr = trace(kernel, filtration)
+        assert tr.values.tolist() == want
+        # the values' stages, then each stage's target-deleted minor and the stage
+        assert calls == [2, 3, 4, 1, 2, 2, 3, 3, 4]
         fresh = [
             math.exp(log_det(assemble_gram(kernel, [x for x in stage if x != 2.0]))
                      - log_det(assemble_gram(kernel, stage)))
-            for stage in filtration.stages[1:]
+            for stage in _stages(filtration)[1:]
         ]
-        assert ratios.tolist() == fresh
+        assert tr.det_ratios.tolist() == fresh
 
     def test_lapack_failure_mid_filtration(self, monkeypatch):
         # point 2 repeats the section at 1 with exact binary arithmetic, so
@@ -233,12 +234,11 @@ class TestOneFactorFallback:
         filtration = Filtration.prefixes(range(5), target=0)
         calls = _count_pivoted(monkeypatch)
         tr = trace(kernel, filtration)
-        assert calls == [3, 4, 5]
+        # stage 3's minor, on points 1 and 2, is singular: the ratios stop there
+        assert calls == [3, 4, 5, 2]
         np.testing.assert_allclose(tr.values, [1.0, 1.25, 1.25, 1.25, 1.25], rtol=1e-12)
-        calls.clear()
-        with pytest.raises(SingularGram):
-            det_ratio_trace(kernel, filtration)
-        assert calls == [2]  # stage 3's minor, on points 1 and 2, is singular
+        assert tr.det_ratios is None
+        assert tr.det_ratio_unavailable == "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=1)"
 
     def test_late_pivot_below_threshold(self, monkeypatch):
         # the fifth point nearly repeats the second: LAPACK factors it, but
@@ -252,9 +252,13 @@ class TestOneFactorFallback:
         want = _fresh_stage_values(kernel, filtration)
         calls = _count_pivoted(monkeypatch)
         tr = trace(kernel, filtration)
-        assert calls == [5, 6]
+        # then stage 5's minor, on points 2 and 2 + 1e-13 among others, is
+        # semidefinite at the pivot threshold: the ratios stop there
+        assert calls == [5, 6, 4]
         np.testing.assert_allclose(tr.values, want, rtol=1e-12)
         assert tr.values[4:].tolist() == want[4:]
+        assert tr.det_ratios is None
+        assert tr.det_ratio_unavailable == "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=3)"
 
     def test_residual_failure(self, monkeypatch):
         # with a zero residual bound only the exactly solved diagonal stages
@@ -310,10 +314,8 @@ class TestOneFactorFallback:
                     out[1, 2] = out[2, 1] = np.nan
                 return out
 
-        filtration = Filtration.prefixes([1.0, 2.0, 3.0, 4.0])
-        for run in (trace, det_ratio_trace):
-            with pytest.raises(ValueError, match="exactly symmetric"):
-                run(NanKernel(), filtration)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            trace(NanKernel(), Filtration.prefixes([1.0, 2.0, 3.0, 4.0]))
 
     def test_served_stages_build_one_stage_point_set(self, monkeypatch):
         # only the first stage is built, for the Kernel.gram contract check
@@ -328,8 +330,7 @@ class TestOneFactorFallback:
             return original(points, n)
 
         monkeypatch.setattr(PointSet, "prefix", counting)
-        tr = trace(kernel, filtration)
-        det_ratio_trace(kernel, filtration, trace=tr)
+        assert trace(kernel, filtration).det_ratios is not None
         assert built == [1]
 
     def test_pd_filtration_factors_once(self, monkeypatch):
@@ -345,17 +346,26 @@ class TestOneFactorFallback:
         rng = np.random.default_rng(61)
         pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 1000)))]
         kernel, filtration = BrownianKernel(), Filtration.prefixes(pts, target=pts[0])
-        trace(kernel, filtration)
-        det_ratio_trace(kernel, filtration)
+        assert trace(kernel, filtration).det_ratios is not None
         assert calls == []
         assert len(assembled) <= 4
 
 
-def _ratios_or_error(kernel, filtration, *args):
+def _ratios_or_error(tr):
+    return tr.det_ratio_unavailable if tr.det_ratios is None else tr.det_ratios.tolist()
+
+
+def _fresh_ratios_or_error(kernel, filtration):
+    """Determinant ratios from a last stage eliminated, or assembled and
+    factored, afresh; or the message of the error they raise."""
+    sizes = [m for _, m in diagnostics._reported_stages(filtration)]
+    if kernel.is_exact:
+        return [float(v) for v in diagnostics._exact_values(kernel, filtration, sizes)]
+    last = diagnostics._last_stage(kernel, filtration, sizes[0])
     try:
-        return det_ratio_trace(kernel, filtration, *args).tolist()
+        return diagnostics._float_det_ratios(kernel, filtration, sizes, last)
     except RKHSKitError as err:
-        return type(err), str(err)
+        return str(err)
 
 
 def _shared_stage_cases():
@@ -377,9 +387,11 @@ SHARED_STAGE_CASES = _shared_stage_cases()
 
 # sha256 of each shared-stage case's determinant ratios (their float64
 # bytes), or the message of the RKHSKitError the ratio step raised, pinned
-# from ``det_ratio_trace`` without a trace.  OpenBLAS's Cholesky of the
-# bridge case's 200-point Gram rounds differently under one thread than under
-# two, so every case runs in a child process started with that many threads.
+# from ``det_ratio_trace`` without a trace, before ``trace`` computed them
+# (``det_ratios``, or the message in ``det_ratio_unavailable``).  OpenBLAS's
+# Cholesky of the bridge case's 200-point Gram rounds differently under one
+# thread than under two, so every case runs in a child process started with
+# that many threads.
 SHARED_STAGE_RATIOS = {
     "binomial": "ad73cbf5d61c322d4f424dbec63744723c9d572d8811b4dba4a1914bec68bf35",
     "bridge-doubling": {
@@ -395,14 +407,15 @@ SHARED_STAGE_RATIOS = {
 RATIO_CHILD = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-from rkhskit import RKHSKitError, det_ratio_trace
+from rkhskit import trace
 from test_diagnostics import SHARED_STAGE_CASES
 
 for name, (kernel, filtration) in sorted(SHARED_STAGE_CASES.items()):
-    try:
-        print(name, hashlib.sha256(det_ratio_trace(kernel, filtration).tobytes()).hexdigest())
-    except RKHSKitError as err:
-        print(name, err)
+    tr = trace(kernel, filtration)
+    if tr.det_ratios is None:
+        print(name, tr.det_ratio_unavailable)
+    else:
+        print(name, hashlib.sha256(tr.det_ratios.tobytes()).hexdigest())
 """
 
 
@@ -420,34 +433,27 @@ def test_shared_stage_ratios_match_golden(threads):
 
 
 class TestSharedLastStage:
-    """``det_ratio_trace`` given a trace reads the last stage that ``trace``
-    assembled and factored, and gives the same ratios bit for bit."""
+    """``trace`` reads its determinant ratios from the last stage it
+    assembled and factored for its values, and gives the ratios of a last
+    stage assembled and factored afresh bit for bit: the values' solves leave
+    that stage as they found it."""
 
     @pytest.mark.parametrize("case", sorted(SHARED_STAGE_CASES))
     def test_ratios_with_and_without_trace_identical(self, case):
         kernel, filtration = SHARED_STAGE_CASES[case]
         tr = trace(kernel, filtration)
-        assert _ratios_or_error(kernel, filtration, tr) == _ratios_or_error(kernel, filtration)
-
-    def test_mismatched_trace_raises(self):
-        pts = [1.0, 2.0, 3.0, 4.0, 5.0]
-        kernel = BrownianKernel()
-        tr = trace(kernel, Filtration.prefixes(pts))
-        for other in (Filtration.prefixes(pts, target=2.0), Filtration.doubling(pts)):
-            with pytest.raises(ValueError, match="does not belong to this filtration"):
-                det_ratio_trace(kernel, other, tr)
+        assert _ratios_or_error(tr) == _fresh_ratios_or_error(kernel, filtration)
 
     def test_trace_of_another_kernel_is_not_reused(self):
-        # the Brownian trace's Gram must not stand in for the bridge kernel's
+        # a trace leaves nothing on the filtration: the Brownian trace's Gram
+        # must not stand in for the bridge kernel's
         f = Filtration.prefixes([0.2, 0.4, 0.6])
-        ratios = det_ratio_trace(BridgeKernel(), f, trace(BrownianKernel(), f))
-        np.testing.assert_allclose(ratios, [6.25, 10.0, 10.0], rtol=1e-12)
-        assert ratios.tobytes() == det_ratio_trace(BridgeKernel(), f).tobytes()
+        trace(BrownianKernel(), f)
+        np.testing.assert_allclose(trace(BridgeKernel(), f).det_ratios, [6.25, 10.0, 10.0], rtol=1e-12)
         # nor the binomial trace's exact values (1/6, 1) for the parity kernel's
         f = Filtration.prefixes([2, 3])
-        ratios = det_ratio_trace(ParityKernel(), f, trace(BinomialKernel(), f))
-        assert ratios.tolist() == [1.0, 2.0]
-        assert ratios.tobytes() == det_ratio_trace(ParityKernel(), f).tobytes()
+        trace(BinomialKernel(), f)
+        assert trace(ParityKernel(), f).det_ratios.tolist() == [1.0, 2.0]
 
     def _diagnose(self, tmp_path, kind, points, *flags):
         doc = tmp_path / "k.json"
@@ -584,16 +590,18 @@ class TestClassify:
 
 
 class TestDetRatioTrace:
+    """The determinant ratios a trace carries in ``det_ratios``."""
+
     def test_brownian_examples(self):
-        ratios = det_ratio_trace(BrownianKernel(), Filtration.prefixes([1, 2]))
+        ratios = trace(BrownianKernel(), Filtration.prefixes([1, 2])).det_ratios
         np.testing.assert_allclose(ratios, [1.0, 2.0], rtol=1e-9)
 
     def test_single_point_stage(self):
-        ratios = det_ratio_trace(BrownianKernel(), Filtration.prefixes([4.0]))
+        ratios = trace(BrownianKernel(), Filtration.prefixes([4.0])).det_ratios
         np.testing.assert_allclose(ratios, [0.25], rtol=1e-12)
 
     def test_two_point_minor(self):
-        ratios = det_ratio_trace(BrownianKernel(), Filtration.prefixes([2, 5], target=2))
+        ratios = trace(BrownianKernel(), Filtration.prefixes([2, 5], target=2)).det_ratios
         np.testing.assert_allclose(ratios[-1], 5 / 6, rtol=1e-9)
 
     def test_matches_trace_on_random_pd_tables(self):
@@ -606,17 +614,23 @@ class TestDetRatioTrace:
             kernel = TableKernel(tuple(range(n)), k)
             filtration = Filtration.prefixes(tuple(range(n)), target=0)
             tr = trace(kernel, filtration)
-            ratios = det_ratio_trace(kernel, filtration)
-            np.testing.assert_allclose(ratios, tr.values, rtol=1e-8)
+            np.testing.assert_allclose(tr.det_ratios, tr.values, rtol=1e-8)
 
     def test_exact_for_binomial(self):
-        ratios = det_ratio_trace(BinomialKernel(), Filtration.prefixes(list(range(5)), target=1))
-        np.testing.assert_allclose(ratios, [1.0, 5.0, 14.0, 30.0])
+        tr = trace(BinomialKernel(), Filtration.prefixes(list(range(5)), target=1))
+        np.testing.assert_allclose(tr.det_ratios, [1.0, 5.0, 14.0, 30.0])
+        # the floats of the exact values, in an array of their own
+        assert tr.det_ratios.tolist() == tr.values.tolist()
+        assert tr.det_ratios is not tr.values
 
-    def test_singular_stage_raises(self):
-        kernel = TableKernel((0, 1), [[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularGram):
-            det_ratio_trace(kernel, Filtration.prefixes((0, 1)))
+    def test_singular_minor_has_no_ratios(self):
+        # points 1 and 2 share a section: every stage has a norm, but stage
+        # 3's target-deleted minor is singular, so no stage gets a ratio
+        kernel = TableKernel((0, 1, 2), [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        tr = trace(kernel, Filtration.prefixes((0, 1, 2)))
+        assert tr.values.tolist() == [1.0, 1.0, 1.0]
+        assert tr.det_ratios is None
+        assert tr.det_ratio_unavailable == "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=1)"
 
 
 class ParityKernel(Kernel):
@@ -668,12 +682,9 @@ class TestExactRoute:
         try:
             tr = trace(kernel, filtration)
         except SingularGram:
-            with pytest.raises(SingularGram):
-                det_ratio_trace(kernel, filtration)
-            return
-        ratios = det_ratio_trace(kernel, filtration)
-        assert ratios.tobytes() == det_ratio_trace(kernel, filtration, tr).tobytes()
-        for ratio, m in zip(ratios, tr.stage_sizes):
+            return  # a zero leading minor: no stage has a ratio
+        # a singular stage that got this far would divide by a zero fraction_det
+        for ratio, m in zip(tr.det_ratios, tr.stage_sizes):
             gram = kernel.exact_gram(labels[:m])
             t = labels[:m].index(target)
             minor = [[row[j] for j in range(m) if j != t] for i, row in enumerate(gram) if i != t]
@@ -689,10 +700,9 @@ class TestExactRoute:
         filtration = Filtration(labels, sizes, target)
         kernel = BinomialKernel()
         tr = trace(kernel, filtration)
-        ratios = det_ratio_trace(kernel, filtration)
         reported = [m for m in sizes if target in labels[:m]]
         assert tr.stage_sizes == tuple(reported)
-        for value, ratio, m in zip(tr.exact_values, ratios, reported):
+        for value, ratio, m in zip(tr.exact_values, tr.det_ratios, reported):
             stage = labels[:m]
             gram = kernel.exact_gram(stage)
             t = stage.index(target)
@@ -703,10 +713,8 @@ class TestExactRoute:
     @pytest.mark.parametrize("points", [(0, 1.5, 3), (0, -1, 3)], ids=["fraction", "negative"])
     def test_points_outside_domain_raise(self, points):
         # 1.5 is never truncated to 1, and -1 never reaches math.comb
-        filtration = Filtration.prefixes(points)
-        for run in (trace, det_ratio_trace):
-            with pytest.raises(DomainMismatch, match="nonnegative integers"):
-                run(BinomialKernel(), filtration)
+        with pytest.raises(DomainMismatch, match="nonnegative integers"):
+            trace(BinomialKernel(), Filtration.prefixes(points))
 
     @pytest.mark.parametrize("points, target", [((1, 2, 3, 4), 1), ((1, 3, 0), 0)])
     def test_singular_psd_gram_raises(self, points, target):
@@ -716,8 +724,6 @@ class TestExactRoute:
         filtration = Filtration.prefixes(points, target=target)
         with pytest.raises(SingularGram):
             trace(ParityKernel(), filtration)
-        with pytest.raises(SingularGram):
-            det_ratio_trace(ParityKernel(), filtration)
 
     def test_singular_psd_gram_is_input_error_in_cli(self, tmp_path, monkeypatch, capsys):
         doc = tmp_path / "parity.json"

@@ -53,7 +53,6 @@ from rkhskit import (
     assemble_gram,
     build_tree,
     delta_expand,
-    det_ratio_trace,
     trace,
 )
 from rkhskit.gff import sample
@@ -213,7 +212,7 @@ def test_trace_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_det_ratios_match_golden(name):
     build, _, ratios = CASES[name]
-    got = det_ratio_trace(*build())
+    got = trace(*build()).det_ratios
     assert len(got) == len(ratios)
     np.testing.assert_allclose(got, ratios, rtol=RATIO_RTOL, atol=0)
 

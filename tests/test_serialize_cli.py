@@ -413,6 +413,33 @@ class TestNetworkCommands:
 
     @pytest.mark.parametrize(
         "argv",
+        [("resistance", "--x", "1.0", "--y", "3.0"), ("delta-norm", "--x", "2.0")],
+        ids=["resistance", "delta-norm"],
+    )
+    def test_scalar_out_file_holds_the_stdout_bytes(self, network_doc, tmp_path, capsys, argv):
+        cmd, *flags = argv
+        assert run_cli("network", cmd, "--network", network_doc, *flags) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "scalar.txt"
+        assert run_cli("network", cmd, "--network", network_doc, *flags, "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed == fmt(2.0) + "\n"
+
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_resistance_with_one_endpoint_exits_1(self, network_doc, capsys, flag):
+        assert run_cli("network", "resistance", "--network", network_doc, flag, "1.0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: resistance needs both --x and --y, or neither for the full matrix\n"
+
+    def test_delta_norm_refuses_y(self, network_doc, capsys):
+        assert run_cli("network", "delta-norm", "--network", network_doc, "--x", "2.0", "--y", "1.0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --y 1.0" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
         [("network", "green"), ("network", "resistance"), ("gff", "sample", "--n", "20")],
         ids=["green", "resistance", "gff-sample"],
     )
@@ -744,6 +771,12 @@ class TestReproduceCommand:
 
     def test_unknown_name(self, capsys):
         assert run_cli("reproduce", "nope") == 1
+
+    def test_tree_suite_solves_past_depth_12(self, capsys):
+        # boundary_resistance solves no network past truncation 12; the
+        # suite's check solves on the tree it builds, at any depth
+        assert run_cli("reproduce", "tree", "--depth", "13") == 0
+        assert "PASS tree: boundary resistance equals series sum (observed=3.99951171875, " in capsys.readouterr().out
 
     def test_config_depth_sets_tree_suite_depth(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -137,8 +137,9 @@ class TestBoundaryResistance:
         net = build_tree(7, weights)
         w1 = (0, 0, 1, 0, 1, 1, 0)
         w2 = (0, 0, 1, 1, 0, 0, 1)
-        br = boundary_resistance(w1, w2, weights, network=net)
+        br = boundary_resistance(w1, w2, weights)
         assert br.meet == 3
+        assert br.network_value == resistance(net, w1, w2)
         assert br.network_value == pytest.approx(br.series_sum, rel=1e-9)
         # series circuit through the meet vertex, twice the level tail
         assert br.series_sum == pytest.approx(2 * sum(0.5 ** k for k in range(3, 7)))
@@ -166,7 +167,6 @@ class TestBoundaryResistance:
             net = trees[len(w1)]
             br = boundary_resistance(w1, w2, weights)
             assert br.network_value == resistance(net, w1, w2)
-            assert boundary_resistance(w1, w2, weights, network=net).network_value == br.network_value
             assert br.network_value == pytest.approx(br.series_sum, rel=1e-9)
         if weights.kind == "constant":
             assert boundary_resistance((0,) * 5, (1,) * 5, weights).series_sum == pytest.approx(10.0)
@@ -188,9 +188,12 @@ class TestBoundaryResistance:
 
     def test_tail_closed_form(self):
         weights = LevelWeights.geometric(0.5)
-        br = boundary_resistance((0, 0), (0, 1), weights, solve=False)
-        assert br.network_value is None
+        br = boundary_resistance((0, 0), (0, 1), weights)
         assert br.tail_value == pytest.approx(2 * (0.5 / 0.5))  # 2 q^1/(1-q)
+        # past depth 12 no network is solved
+        deep = boundary_resistance((0,) * 13, (0, 1) + (0,) * 11, weights)
+        assert deep.network_value is None
+        assert deep.tail_value == br.tail_value
 
     def test_validation(self):
         weights = LevelWeights.geometric(0.5)
@@ -207,7 +210,7 @@ class TestBoundaryResistance:
         truncation = 30
         w_long = (0,) * truncation
         w_fork = (0,) * depth_needed + (1,) + (0,) * (truncation - depth_needed - 1)
-        br = boundary_resistance(w_long, w_fork, weights, solve=False)
+        br = boundary_resistance(w_long, w_fork, weights)
         assert br.series_sum < 1e-6
 
     def test_truncated_sum_converges_to_tail(self):
@@ -216,7 +219,7 @@ class TestBoundaryResistance:
         for m in meets:
             w1 = (0,) * 24
             w2 = (0,) * m + (1,) + (0,) * (24 - m - 1)
-            br = boundary_resistance(w1, w2, weights, solve=False)
+            br = boundary_resistance(w1, w2, weights)
             assert br.meet == m
             assert abs(br.series_sum - br.tail_value) < 1e-6
 
