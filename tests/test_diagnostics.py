@@ -116,7 +116,7 @@ class TestTrace:
         assert [int(v) for v in tr.exact_values] == [1, 5, 14, 30]
         np.testing.assert_allclose(tr.values, [1.0, 5.0, 14.0, 30.0])
 
-    def test_monotonicity_violation_detected(self):
+    def test_monotonicity_violation_detected(self, monkeypatch):
         class ShrinkingKernel(Kernel):
             # inconsistent on purpose: entries depend on the stage size, so
             # the nesting theorem fails and the guard must fire
@@ -126,6 +126,8 @@ class TestTrace:
                 return np.eye(len(labels)) * len(labels)
 
         kernel = ShrinkingKernel()
+        # the guard fires before the determinant ratios are computed
+        monkeypatch.setattr(diagnostics, "_float_det_ratios", None)
         with pytest.raises(MonotonicityViolation):
             trace(kernel, Filtration.prefixes([0, 1, 2]))
 
