@@ -10,6 +10,8 @@ definiteness verdict, delta solves, dual bases, and log-determinants.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -193,6 +195,83 @@ class _Factor:
     status: PDResult
 
 
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Every loaded OpenBLAS on one thread while any call holds the pin.
+
+    The last bits of OpenBLAS's ``dpotrf``, ``dtrsm`` and ``dgemm`` follow how
+    the work is split between threads, and an idle worker spins after each
+    call; one thread gives the same bits under any ``OPENBLAS_NUM_THREADS``
+    or core count, for less CPU.  On first use ``scipy.linalg`` is imported,
+    so scipy's OpenBLAS is loaded beside numpy's, and the thread controls of
+    each OpenBLAS mapped into the process are looked up once.  Without
+    ``/proc/self/maps`` or without OpenBLAS (MKL, Accelerate) there are no
+    controls and the pin does nothing.
+
+    The count is process-wide: the first caller to enter saves each
+    library's count and sets it to 1, and the last to leave restores them,
+    so nested and concurrent calls never restore early, and BLAS calls
+    elsewhere in the process run on one thread meanwhile.
+    ``openblas_set_num_threads_local`` is not used: pthreads builds set the
+    global count through it too, and older wheels lack it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []
+        self._controls = None   # [(get, set)] per library, found on first use
+
+    @staticmethod
+    def _find_controls() -> list:
+        import ctypes
+
+        import scipy.linalg  # noqa: F401
+
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+        except OSError:
+            return []
+        controls = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+        return controls
+
+    def __enter__(self):
+        with self._lock:
+            if self._controls is None:
+                self._controls = self._find_controls()
+            if self._depth == 0:
+                self._saved = [get() for get, _ in self._controls]
+                for _, put in self._controls:
+                    put(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, put), count in zip(self._controls, self._saved):
+                    put(count)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+@_one_blas_thread
 def _pivoted_cholesky(matrix: np.ndarray) -> _Factor:
     """Cholesky with diagonal pivoting, ``U^T U = K[perm][:, perm]``, by one
     LAPACK ``dpstrf`` (Lucas, LAWN 161).

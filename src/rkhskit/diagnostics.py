@@ -24,6 +24,7 @@ from .core import (
     SOLVE_RTOL,
     Kernel,
     PointSet,
+    _one_blas_thread,
     assemble_gram,
     check_domain,
     log_det,
@@ -180,6 +181,7 @@ def _exact_values(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     return tuple(norms[m - t - 1] for m in sizes)
 
 
+@_one_blas_thread
 def _leading_factor(matrix: np.ndarray):
     """One LAPACK Cholesky of ``matrix``, read as the factor of each of its
     leading blocks.
@@ -205,6 +207,7 @@ def _log_dets(upper: np.ndarray, served: int) -> np.ndarray:
     return np.cumsum(2.0 * np.log(np.diagonal(upper)[:served]))
 
 
+@_one_blas_thread
 def _float_values(kernel: Kernel, filtration: Filtration, sizes: list, last: tuple) -> list:
     """Float projection norms of the target at each reported stage.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GramMatrix, NotPSD, PointSet, _unpermuted_factor
+from .core import GramMatrix, NotPSD, PointSet, _one_blas_thread, _unpermuted_factor
 from .errors import MissingNeighbor, NotPositiveSemidefinite
 from .network import Network, resistance
 
@@ -94,7 +94,8 @@ def sample(gram: GramMatrix, n: int, seed: int) -> GFFSampleSet:
 
     Rank-deficient covariances are sampled in their numerical column span via
     the truncated pivoted factor.  Identical (gram, n, seed) gives bit-exact
-    identical output.
+    identical output, whatever the BLAS thread count: the factor and the
+    product run on one thread.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -103,7 +104,8 @@ def sample(gram: GramMatrix, n: int, seed: int) -> GFFSampleSet:
         raise NotPositiveSemidefinite(fact.status.witness)
     lo = _unpermuted_factor(fact)
     rank = lo.shape[1]
-    draws = _normal_rows(seed, n, rank) @ lo.T
+    with _one_blas_thread:
+        draws = _normal_rows(seed, n, rank) @ lo.T
     return GFFSampleSet(points=gram.points, samples=draws, seed=seed, covariance=gram)
 
 

@@ -390,16 +390,13 @@ SHARED_STAGE_CASES = _shared_stage_cases()
 # sha256 of each shared-stage case's determinant ratios (their float64
 # bytes), or the message of the RKHSKitError the ratio step raised, pinned
 # from ``det_ratio_trace`` without a trace, before ``trace`` computed them
-# (``det_ratios``, or the message in ``det_ratio_unavailable``).  OpenBLAS's
-# Cholesky of the bridge case's 200-point Gram rounds differently under one
-# thread than under two, so every case runs in a child process started with
-# that many threads.
+# (``det_ratios``, or the message in ``det_ratio_unavailable``).  The ratio
+# factors run on one BLAS thread, so every case has one digest whatever
+# ``OPENBLAS_NUM_THREADS`` a child process starts with; it is checked under
+# one thread and under two.
 SHARED_STAGE_RATIOS = {
     "binomial": "ad73cbf5d61c322d4f424dbec63744723c9d572d8811b4dba4a1914bec68bf35",
-    "bridge-doubling": {
-        1: "26ea39a62c1dd7b59a9e93050a901aa25576896f39a09608b0f6035d1f5c9087",
-        2: "09ce006e09f29c2aa16ad156be97d3753ba0979f4d26603b7c36eb313c96b7d4",
-    },
+    "bridge-doubling": "26ea39a62c1dd7b59a9e93050a901aa25576896f39a09608b0f6035d1f5c9087",
     "brownian-prefix": "3f1a744cbd39e06ddd8cef67b535c64bee2e838b8e8472788ca08170cc3ff9ce",
     "inconsistent": "bec73663285d48f1a8050b9fe01a81952f0a40f92f95d46ec4a5954e3e8595f9",
     "late-pivot": "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=3)",
@@ -429,8 +426,7 @@ def test_shared_stage_ratios_match_golden(threads):
     out = subprocess.run([sys.executable, "-c", RATIO_CHILD, str(Path(__file__).parent)],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
-        f"{name} {golden[threads] if isinstance(golden, dict) else golden}"
-        for name, golden in sorted(SHARED_STAGE_RATIOS.items())
+        f"{name} {golden}" for name, golden in sorted(SHARED_STAGE_RATIOS.items())
     ]
 
 

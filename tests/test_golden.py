@@ -318,11 +318,10 @@ def test_binomial_diagnose_stdout_matches_golden_hash(case, tmp_path, capsys):
 # sha256 of float ``diagnose`` CSVs, written row by row by the csv module while
 # each served stage's residual was checked with its own packed triangular
 # solve and product; the table writer and the batched residual check must
-# reproduce every byte, the verdict line included.  OpenBLAS's Cholesky of
-# a larger Gram rounds differently under one thread than under several, so
-# the bridge CSV has one digest under one BLAS thread and another under two
-# (and three and four): each is pinned in a child process started with that
-# many threads.  Other BLAS libraries ignore the variable.
+# reproduce every byte, the verdict line included.  The float trace runs its
+# BLAS calls on one thread, so each CSV has one digest whatever
+# ``OPENBLAS_NUM_THREADS`` a child process starts with; it is checked under
+# one thread and under two.  Other BLAS libraries ignore the variable.
 
 
 def rank_deficient_table():
@@ -337,24 +336,21 @@ def rank_deficient_table():
 BROWNIAN_CSV_SHA256 = "72ab1da774d5ff2b4580eadea988023bcee083dc5926e5e12f505c8263607cad"
 TABLE_CSV_SHA256 = "f4ae03cf40a44df14419cc9663a9861dda5b825a923ee677c1fa5ac21fa53fe8"
 FLOAT_DIAGNOSE_CASES = {
-    # name: (document, flags, {BLAS threads: digest})
+    # name: (document, flags, digest)
     "brownian-prefix-100": (
         {"kernel": {"type": "brownian"}, "points": brownian_prefix()[1].points.labels},
         [],
-        {1: BROWNIAN_CSV_SHA256, 2: BROWNIAN_CSV_SHA256},
+        BROWNIAN_CSV_SHA256,
     ),
     "bridge-doubling-512": (
         {"kernel": {"type": "bridge"}, "points": bridge_doubling()[1].points.labels},
         ["--stages", "doubling"],
-        {
-            1: "702c5e6f140642d70d1549cff7a1aa863281c99bb29476b1ff3e63a52d39c903",
-            2: "3ccc7e30d811f509eef927b30a5695ca260d88087c140c29c5707a1a0504153c",
-        },
+        "702c5e6f140642d70d1549cff7a1aa863281c99bb29476b1ff3e63a52d39c903",
     ),
     "table-rank-deficient": (
         {"kernel": rank_deficient_table(), "points": list(range(8))},
         ["--target", "1"],
-        {1: TABLE_CSV_SHA256, 2: TABLE_CSV_SHA256},
+        TABLE_CSV_SHA256,
     ),
 }
 
@@ -382,8 +378,8 @@ def test_float_diagnose_csv_matches_golden_hash(threads, tmp_path):
     out = subprocess.run([sys.executable, "-c", DIAGNOSE_CHILD, json.dumps(runs)],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
-        f"{name} {name == 'table-rank-deficient'} {digests[threads]}"
-        for name, (_, _, digests) in sorted(FLOAT_DIAGNOSE_CASES.items())
+        f"{name} {name == 'table-rank-deficient'} {digest}"
+        for name, (_, _, digest) in sorted(FLOAT_DIAGNOSE_CASES.items())
     ]
 
 
