@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gff
 from .builtin import binomial_eval
-from .core import assemble_gram, check_domain
+from .core import PointSet, assemble_gram, check_domain
 from .diagnostics import Filtration, classify, trace
 from .errors import MonotonicityViolation, RKHSKitError
 from .network import Network, delta_norm_sq, green_kernel, resistance
@@ -35,52 +35,66 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_REPRODUCE = 3
 
-DEFAULT_SEED = 42
-STAGES = ("prefix", "doubling")
-SUITE_OPTIONS = {"tree": ("depth",), "gff": ("n", "seed")}
-
 
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
 
 
-def _opt(args, config: dict, name: str, default):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, name.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return config.get(name, default)
+class _Given(argparse.Action):
+    """Store an option's value and add its dest to the namespace's ``given``
+    set, so that a config fills only what the command line left out."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        vars(namespace).setdefault("given", set()).add(self.dest)
 
 
-def _int_opt(args, config: dict, name: str, default) -> int:
-    """:func:`_opt` for an integer option: a config value must be a JSON
-    integer, so 2.5 or ``true`` is refused rather than truncated."""
-    val = _opt(args, config, name, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ValueError(f"option {name!r} must be an integer, got {val!r}")
-    return val
+class _Parser(argparse.ArgumentParser):
+    """Subcommand parser whose options record themselves as given (see
+    :class:`_Given`); ``add_subparsers`` hands the class on to nested ones."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Given)
 
 
-def _str_opt(args, config: dict, name: str, default):
-    """:func:`_opt` for a string option: a config value must be a JSON
-    string, so 1 or ``true`` is refused rather than opened as a file
-    descriptor or parsed."""
-    val = _opt(args, config, name, default)
-    if name in config and not isinstance(val, str):
-        raise ValueError(f"option {name!r} must be a string, got {val!r}")
-    return val
+def _config_value(action, name: str, value):
+    """A config value for ``action`` checked as its flag is: a JSON integer
+    for ``type=int`` (2.5 or ``true`` is never truncated), a JSON number that
+    a float holds for ``type=float``, a JSON string otherwise (1 is never
+    opened as a file descriptor), and one of the flag's choices."""
+    if action.type is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok, kind = False, "a finite number"
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # an integer beyond the float range
+                value, ok = float(value), True
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"option {name!r} must be {kind}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"option {name!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
 
 
-def _float_opt(args, config: dict, name: str, default) -> float:
-    """:func:`_opt` for a float option: a config value must be a JSON number
-    that a float holds, so ``true`` or ``"1e-3"`` is refused rather than
-    coerced."""
-    val = _opt(args, config, name, default)
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            return float(val)
-    raise ValueError(f"option {name!r} must be a finite number, got {val!r}")
+def _apply_config(parser, args, config: dict) -> None:
+    """Fill each option of the chosen subcommand that the command line did
+    not give from the config key of the same name.  Keys the subcommand does
+    not take are ignored; required options come only from the command line."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return _apply_config(action.choices[getattr(args, action.dest)], args, config)
+    given = vars(args).setdefault("given", set())
+    for action in parser._actions:
+        if not isinstance(action, _Given) or action.required or action.dest in given:
+            continue
+        name = action.option_strings[0][2:]
+        if name in config:
+            setattr(args, action.dest, _config_value(action, name, config[name]))
+            given.add(action.dest)
 
 
 @contextlib.contextmanager
@@ -104,7 +118,7 @@ def _verdict_doc(verdict) -> dict:
     return doc
 
 
-def _cmd_kernel_eval(args, config) -> int:
+def _cmd_kernel_eval(args) -> int:
     kernel, _ = load_kernel_doc(_load_json(args.input))
     x, y = json.loads(args.x), json.loads(args.y)
     check_domain(kernel, [x, y])
@@ -115,11 +129,11 @@ def _cmd_kernel_eval(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel_gram(args, config) -> int:
+def _cmd_kernel_gram(args) -> int:
     kernel, points = load_kernel_doc(_load_json(args.input))
     if len(points) == 0:  # assemble_gram's error, which the exact path never reaches
         raise ValueError("point set must be nonempty")
-    with _output(_str_opt(args, config, "out", None)) as out:
+    with _output(args.out) as out:
         exact = kernel.exact_gram(points.labels)
         if exact is not None:
             write_matrix_csv(out, points.labels, exact)
@@ -143,33 +157,21 @@ def _diagnose_rows(tr) -> str:
     return row % first + ",\r\n" + ((row + ",%.17g\r\n") * len(rest)) % tuple(cells)
 
 
-def _cmd_diagnose(args, config) -> int:
-    stages = _str_opt(args, config, "stages", "prefix")
-    if stages not in STAGES:  # argparse's choices guard only the flag
-        raise ValueError(f"unknown stages {stages!r}; choose from {list(STAGES)}")
-    doc = _load_json(args.input)
-    kernel, points = load_kernel_doc(doc)
+def _cmd_diagnose(args) -> int:
+    kernel, points = load_kernel_doc(_load_json(args.input))
     if len(points) == 0:
         raise ValueError("empty point list")
     target = json.loads(args.target) if args.target is not None else points.labels[0]
-    # the trace only reports stages containing the target, so lead with it
-    labels = list(points.labels)
+    # the trace only reports stages containing the target, so lead with it;
+    # the document's labels are canonical already
     if target in points:
-        canonical = points.labels[points.index(target)]
-        labels.remove(canonical)
-        labels.insert(0, canonical)
-        target = canonical
-    filtration = (
-        Filtration.doubling(labels, target) if stages == "doubling" else Filtration.prefixes(labels, target)
-    )
-    tr = trace(kernel, filtration)
-    verdict = classify(
-        tr,
-        tau_stab=_float_opt(args, config, "tau-stab", 1e-10),
-        tau_div=_float_opt(args, config, "tau-div", 1e-3),
-        k=_int_opt(args, config, "k", 5),
-    )
-    with _output(_str_opt(args, config, "out", None)) as out:
+        i = points.index(target)
+        target = points.labels[i]
+        points = PointSet.canonical((target,) + points.labels[:i] + points.labels[i + 1:])
+    stages = Filtration.doubling if args.stages == "doubling" else Filtration.prefixes
+    tr = trace(kernel, stages(points, target))
+    verdict = classify(tr, tau_stab=args.tau_stab, tau_div=args.tau_div, k=args.k)
+    with _output(args.out) as out:
         out.write("stage_index,stage_size,zeta_value,det_ratio,increment\r\n" + _diagnose_rows(tr))
         doc = _verdict_doc(verdict)
         if tr.det_ratio_unavailable is not None:
@@ -178,18 +180,18 @@ def _cmd_diagnose(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_network(args, config) -> int:
+def _cmd_network(args) -> int:
     net = Network.from_json(_load_json(args.network))
     if args.network_cmd == "green":
         kernel = green_kernel(net)
-        with _output(_str_opt(args, config, "out", None)) as out:
+        with _output(args.out) as out:
             write_matrix_csv(out, kernel.points.labels, net.green_matrix())
         return EXIT_OK
     if args.network_cmd == "resistance":
         if (args.x is None) != (args.y is None):
             raise ValueError("resistance needs both --x and --y, or neither for the full matrix")
         if args.x is not None:
-            with _output(_str_opt(args, config, "out", None)) as out:
+            with _output(args.out) as out:
                 out.write(fmt(resistance(net, json.loads(args.x), json.loads(args.y))) + "\n")
             return EXIT_OK
         # R_xy = G_xx + G_yy - 2 G_xy with G zero on the base's row and
@@ -198,36 +200,34 @@ def _cmd_network(args, config) -> int:
         green = np.insert(np.insert(net.green_matrix(), base, 0.0, axis=0), base, 0.0, axis=1)
         diag = np.diag(green)
         matrix = (diag[:, None] + diag[None, :]) - (green + green.T)
-        with _output(_str_opt(args, config, "out", None)) as out:
+        with _output(args.out) as out:
             write_matrix_csv(out, net.vertices.labels, matrix)
         return EXIT_OK
     # delta-norm
     if args.x is None:
         raise ValueError("delta-norm needs --x")
-    with _output(_str_opt(args, config, "out", None)) as out:
+    with _output(args.out) as out:
         out.write(fmt(delta_norm_sq(net, json.loads(args.x))) + "\n")
     return EXIT_OK
 
 
-def _cmd_gff(args, config) -> int:
+def _cmd_gff(args) -> int:
     net = Network.from_json(_load_json(args.network))
     kernel = green_kernel(net)
     gram = assemble_gram(kernel, kernel.points)
-    n = _int_opt(args, config, "n", 1000)
-    seed = _int_opt(args, config, "seed", DEFAULT_SEED)
-    draws = gff.sample(gram, n, seed)
+    draws = gff.sample(gram, args.n, args.seed)
     if args.gff_cmd == "sample":
-        with _output(_str_opt(args, config, "out", None)) as out:
+        with _output(args.out) as out:
             write_matrix_csv(out, gram.points.labels, draws.samples)
         return EXIT_OK
     emp = gff.empirical_covariance(draws)
-    se = gff.covariance_standard_error(gram, n)
+    se = gff.covariance_standard_error(gram, args.n)
     worst = float(np.max(np.abs(emp - gram.matrix) / se))
-    with _output(_str_opt(args, config, "out", None)) as out:
+    with _output(args.out) as out:
         write_matrix_csv(out, gram.points.labels, emp)
         out.write(
             json.dumps(
-                {"n": n, "seed": seed, "max_deviation_in_standard_errors": float(worst)},
+                {"n": args.n, "seed": args.seed, "max_deviation_in_standard_errors": float(worst)},
                 sort_keys=True,
             )
             + "\n"
@@ -235,19 +235,18 @@ def _cmd_gff(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_tree(args, config) -> int:
-    weights = LevelWeights.parse(_str_opt(args, config, "weights", "geometric:0.5"))
+def _cmd_tree(args) -> int:
+    weights = LevelWeights.parse(args.weights)
     if args.tree_cmd == "histogram":
-        depth = _int_opt(args, config, "depth", 10)
-        rows = energy_histogram(depth, weights)
-        with _output(_str_opt(args, config, "out", None)) as out:
+        rows = energy_histogram(args.depth, weights)
+        with _output(args.out) as out:
             writer = csv.writer(out)
             writer.writerow(["level", "energy", "multiplicity", "uses_level0_convention"])
             for row in rows:
                 writer.writerow([row.level, fmt(row.energy), row.multiplicity, row.uses_level0])
             out.write(
                 json.dumps(
-                    {"weights": weights.spec(), "r0": weights.r(0), "depth": depth},
+                    {"weights": weights.spec(), "r0": weights.r(0), "depth": args.depth},
                     sort_keys=True,
                 )
                 + "\n"
@@ -266,18 +265,10 @@ def _cmd_tree(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_reproduce(args, config) -> int:
-    name = args.name
-    if name not in SUITES:
-        raise ValueError(f"unknown reproduction {name!r}; choose from {sorted(SUITES)}")
-    # a suite reads only the options it takes; one given neither by flag
-    # nor by config keeps the suite's own default
-    kwargs = {
-        opt: _int_opt(args, config, opt, None)
-        for opt in SUITE_OPTIONS.get(name, ())
-        if getattr(args, opt) is not None or opt in config
-    }
-    checks = SUITES[name](**kwargs)
+def _cmd_reproduce(args) -> int:
+    name = args.suite
+    # an option given neither by flag nor by config keeps the suite's default
+    checks = SUITES[name](**{dest: getattr(args, dest) for dest in vars(args).get("given", ())})
     failed = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -288,9 +279,11 @@ def _cmd_reproduce(args, config) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every subcommand and option: name, type,
+    choices and default.  A ``--config`` value is checked against it too."""
     parser = argparse.ArgumentParser(prog="rkhskit", description=__doc__)
     parser.add_argument("--config", help="JSON file with default option values")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     kernel = sub.add_parser("kernel", help="evaluate a kernel or export its Gram matrix")
     ksub = kernel.add_subparsers(dest="kernel_cmd", required=True)
@@ -308,10 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=_cmd_diagnose)
     diag.add_argument("--input", required=True, help="kernel document (JSON)")
     diag.add_argument("--target", help="target point (JSON literal); default: first point")
-    diag.add_argument("--stages", choices=STAGES)
-    diag.add_argument("--tau-stab", type=float)
-    diag.add_argument("--tau-div", type=float)
-    diag.add_argument("--k", type=int)
+    diag.add_argument("--stages", choices=("prefix", "doubling"), default="prefix")
+    diag.add_argument("--tau-stab", type=float, default=1e-10)
+    diag.add_argument("--tau-div", type=float, default=1e-3)
+    diag.add_argument("--k", type=int, default=5)
     diag.add_argument("--out")
 
     network = sub.add_parser("network", help="network quantities")
@@ -332,29 +325,31 @@ def build_parser() -> argparse.ArgumentParser:
         p = gsub.add_parser(name)
         p.set_defaults(func=_cmd_gff)
         p.add_argument("--network", required=True)
-        p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--n", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out")
 
     treep = sub.add_parser("tree", help="dyadic tree energies and boundary resistances")
     tsub = treep.add_subparsers(dest="tree_cmd", required=True)
     thist = tsub.add_parser("histogram")
     thist.set_defaults(func=_cmd_tree)
-    thist.add_argument("--depth", type=int)
-    thist.add_argument("--weights")
+    thist.add_argument("--depth", type=int, default=10)
+    thist.add_argument("--weights", default="geometric:0.5")
     thist.add_argument("--out")
     tres = tsub.add_parser("resistance")
     tres.set_defaults(func=_cmd_tree)
-    tres.add_argument("--weights")
+    tres.add_argument("--weights", default="geometric:0.5")
     tres.add_argument("--w1", required=True, help="0/1 word, e.g. 0010")
     tres.add_argument("--w2", required=True)
 
     rep = sub.add_parser("reproduce", help="run a named reproduction suite")
     rep.set_defaults(func=_cmd_reproduce)
-    rep.add_argument("name")
-    rep.add_argument("--depth", type=int)
-    rep.add_argument("--n", type=int)
-    rep.add_argument("--seed", type=int)
+    rsub = rep.add_subparsers(dest="suite", required=True)
+    suites = {name: rsub.add_parser(name) for name in SUITES}
+    # no defaults: an option left out keeps the suite function's own
+    suites["tree"].add_argument("--depth", type=int)
+    suites["gff"].add_argument("--n", type=int)
+    suites["gff"].add_argument("--seed", type=int)
 
     return parser
 
@@ -386,7 +381,9 @@ def main(argv=None) -> int:
             print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
             return EXIT_INPUT
     try:
-        return args.func(args, config)
+        if config:
+            _apply_config(_parser(), args, config)
+        return args.func(args)
     except MonotonicityViolation as err:
         print(f"numerical breakdown: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

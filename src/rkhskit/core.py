@@ -456,6 +456,7 @@ def projection_norm_sq(gram: GramMatrix, target) -> float:
     return zeta[target]
 
 
+@_one_blas_thread
 def dual_basis(gram: GramMatrix) -> list[CoefficientVector]:
     """Rows of K_F^{-1}: row x holds the expansion coefficients of the vector
     dual to the section at x.  Pairing any row against K_F gives an indicator."""

@@ -5,11 +5,12 @@ pivot order decides which draws those are, so the Gram, the pivot order and
 the factor are hashed in child processes that start OpenBLAS with one and
 with two threads.  Other BLAS libraries ignore the variable and pass.
 
-A float filtration trace of a 300-point bridge prefix and 3000 seeded draws
-on a depth-7 tree's Green Gram run in the same children.  The trace must have
-every stage served by the one factor, and its values and determinant ratios,
-like the draws, must be the same bits under either thread count: their BLAS
-calls run on one thread while they hold ``core._one_blas_thread``.  The pin
+A float filtration trace of a 300-point bridge prefix, 3000 seeded draws on
+a depth-7 tree's Green Gram and the bridge Gram's dual basis run in the same
+children.  The trace must have every stage served by the one factor, and its
+values and determinant ratios, like the draws and the dual rows, must be the
+same bits under either thread count: their BLAS and LAPACK calls run on one
+thread while they hold ``core._one_blas_thread``.  The pin
 itself is tested in process: it sets every OpenBLAS it found to one thread
 and restores the caller's counts, also across nested and concurrent calls.
 """
@@ -63,6 +64,9 @@ core._pivoted_cholesky = original
 tree = green_kernel(build_tree(7, LevelWeights.parse("geometric:0.5")))
 draws = sample(assemble_gram(tree, tree.points), 3000, 11).samples
 print("sample", hashlib.sha256(draws.tobytes()).hexdigest())
+
+dual = core.dual_basis(grams[1])[:50]
+print("dual", hashlib.sha256(b"".join(row.values.tobytes() for row in dual)).hexdigest())
 """
 
 # sha256 of ``sample(g, 3000, 11).samples`` on the depth-7 ``geometric:0.5``
@@ -94,6 +98,12 @@ def test_factor_bits_do_not_depend_on_blas_threads(children):
 
 def test_sample_bits_do_not_depend_on_blas_threads(children):
     assert children[1][4] == children[2][4] == f"sample {TREE_SAMPLE_SHA256}"
+
+
+def test_dual_basis_bits_do_not_depend_on_blas_threads(children):
+    # dpotri's inverse of the 300-point bridge factor, first 50 rows
+    assert children[1][5].startswith("dual ")
+    assert children[2][5] == children[1][5]
 
 
 # -- the pin -------------------------------------------------------------------

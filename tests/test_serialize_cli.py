@@ -1,5 +1,6 @@
 """Interchange formats and the command-line front door."""
 
+import argparse
 import csv
 import io
 import json
@@ -701,6 +702,108 @@ class TestConfigStrings:
         assert run_cli("--config", str(cfg), "tree", "histogram") == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text().splitlines()[-1]) == {"depth": 3, "r0": 2.0, "weights": "constant:2.0"}
+
+
+def _subparsers(parser):
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _leaf_options(parser=None, words=()):
+    """(command, option) for every optional, non-required option of every
+    leaf subcommand, read off the CLI's own parser."""
+    parser = parser or cli._parser()
+    sub = _subparsers(parser)
+    if sub is not None:
+        return [pair for word, child in sub.choices.items() for pair in _leaf_options(child, (*words, word))]
+    return [(" ".join(words), action.option_strings[0][2:]) for action in parser._actions
+            if action.option_strings and not action.required and not isinstance(action, argparse._HelpAction)]
+
+
+def _action(command, name):
+    parser = cli._parser()
+    for word in command.split():
+        parser = _subparsers(parser).choices[word]
+    return next(a for a in parser._actions if a.option_strings == [f"--{name}"])
+
+
+class TestConfigTable:
+    """Every option a leaf subcommand takes reads a config value as its flag
+    reads it: the same output, a wrong JSON type exits 1 naming the option,
+    and a value outside the flag's choices exits 1 naming the value."""
+
+    # per leaf subcommand: the command line it needs, and per option a config
+    # value that changes the output
+    CASES = {
+        "kernel gram": (["--input", "{kernel}"], {"out": "{out}"}),
+        "diagnose": (["--input", "{kernel}"], {"target": "5", "stages": "doubling", "tau-stab": 1e-3,
+                                               "tau-div": 0.5, "k": 3, "out": "{out}"}),
+        "network green": (["--network", "{network}"], {"out": "{out}"}),
+        "network resistance": (["--network", "{network}"], {"out": "{out}", "x": "2.0", "y": "3.0"}),
+        "network delta-norm": (["--network", "{network}"], {"out": "{out}", "x": "3.0"}),
+        "gff sample": (["--network", "{network}"], {"n": 5, "seed": 7, "out": "{out}"}),
+        "gff check": (["--network", "{network}"], {"n": 5, "seed": 7, "out": "{out}"}),
+        "tree histogram": ([], {"depth": 3, "weights": "constant:2", "out": "{out}"}),
+        "tree resistance": (["--w1", "0101", "--w2", "0110"], {"weights": "constant:2"}),
+        "reproduce tree": ([], {"depth": 3}),
+        "reproduce gff": ([], {"n": 300, "seed": 5}),
+    }
+    # flags a case needs beside its option: one resistance endpoint needs the
+    # other, delta-norm needs its point, and 10 points double in 5 stages
+    PARTNER = {("network resistance", "x"): ["--y", "3.0"], ("network resistance", "y"): ["--x", "1.0"],
+               ("network delta-norm", "out"): ["--x", "3.0"], ("diagnose", "stages"): ["--k", "3"]}
+    WRONG = {int: ("an integer", 2.5), float: ("a finite number", True), None: ("a string", 1)}
+
+    @pytest.fixture
+    def case(self, brownian_doc, network_doc, tmp_path, monkeypatch):
+        from rkhskit.reproduce import Check
+
+        def suite(**kwargs):  # prints the options it was called with
+            return [Check(json.dumps(kwargs, sort_keys=True), True, 0, 0)]
+
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, suite)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        paths = {"kernel": brownian_doc, "network": network_doc, "out": str(out)}
+
+        def make(command, name, value=None):
+            argv, values = self.CASES[command]
+            value = values[name] if value is None else value
+            if isinstance(value, str):
+                value = value.format(**paths)
+            cfg.write_text(json.dumps({name: value}))
+            base = [*command.split(), *(arg.format(**paths) for arg in argv), *self.PARTNER.get((command, name), [])]
+            return base, value, cfg, out
+        return make
+
+    def test_every_option_has_a_case(self):
+        assert sorted(_leaf_options()) == sorted((c, n) for c, (_, values) in self.CASES.items() for n in values)
+
+    @pytest.mark.parametrize("command, name", _leaf_options())
+    def test_config_value_reads_as_the_flag(self, case, command, name, capsys):
+        base, value, cfg, out = case(command, name)
+        flag = TestParserReuse._run([*base, f"--{name}", str(value)], out, capsys)
+        config = TestParserReuse._run(["--config", str(cfg), *base], out, capsys)
+        default = TestParserReuse._run(base, out, capsys)
+        assert flag[0] == 0
+        assert config == flag != default
+
+    @pytest.mark.parametrize("command, name", _leaf_options())
+    def test_wrong_json_type_exits_1(self, case, command, name, capsys):
+        kind, bad = self.WRONG[_action(command, name).type]
+        base, _, cfg, _ = case(command, name, bad)
+        assert run_cli("--config", str(cfg), *base) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: option {name!r} must be {kind}, got {bad!r}\n"
+
+    @pytest.mark.parametrize("command, name", [pair for pair in _leaf_options() if _action(*pair).choices])
+    def test_value_outside_choices_exits_1(self, case, command, name, capsys):
+        bad = f"{_action(command, name).choices[0]}x"
+        base, _, cfg, _ = case(command, name, bad)
+        assert run_cli("--config", str(cfg), *base) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(bad) in captured.err
 
 
 class TestTreeCommands:
