@@ -23,7 +23,7 @@ import numpy as np
 from . import gff
 from .builtin import binomial_eval
 from .core import PointSet, assemble_gram, check_domain
-from .diagnostics import Filtration, classify, trace
+from .diagnostics import ClassifyPolicy, Filtration, classify, trace
 from .errors import MonotonicityViolation, RKHSKitError
 from .network import Network, delta_norm_sq, green_kernel, resistance
 from .reproduce import SUITES
@@ -302,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--input", required=True, help="kernel document (JSON)")
     diag.add_argument("--target", help="target point (JSON literal); default: first point")
     diag.add_argument("--stages", choices=("prefix", "doubling"), default="prefix")
-    diag.add_argument("--tau-stab", type=float, default=1e-10)
-    diag.add_argument("--tau-div", type=float, default=1e-3)
-    diag.add_argument("--k", type=int, default=5)
+    diag.add_argument("--tau-stab", type=float, default=ClassifyPolicy.tau_stab)
+    diag.add_argument("--tau-div", type=float, default=ClassifyPolicy.tau_div)
+    diag.add_argument("--k", type=int, default=ClassifyPolicy.k)
     diag.add_argument("--out")
 
     network = sub.add_parser("network", help="network quantities")

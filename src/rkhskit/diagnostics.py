@@ -348,8 +348,8 @@ def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def classify(trace: FiltrationTrace, tau_stab: float = 1e-10,
-             tau_div: float = 1e-3, k: int = 5) -> Membership:
+def classify(trace: FiltrationTrace, tau_stab: float = ClassifyPolicy.tau_stab,
+             tau_div: float = ClassifyPolicy.tau_div, k: int = ClassifyPolicy.k) -> Membership:
     """Classify the membership evidence carried by a trace.
 
     Checked in order: stabilized (last k increments below the stabilization

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import GramMatrix, NotPSD, PointSet, _one_blas_thread, _unpermuted_factor
 from .errors import MissingNeighbor, NotPositiveSemidefinite
-from .network import Network, resistance
+from .network import GreenKernel, Network, resistance
 
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -162,8 +162,8 @@ def covariance_triangle_check(net: Network, x, y, z) -> TriangleCheck:
     margin is nonnegative up to solver rounding.  The base vertex enters with
     k(base, .) = 0, matching the pinned field.
     """
-    g = net.green_matrix()
-    grounded = net.grounded_vertices()
+    grounded = [a for a in (x, y, z) if a != net.base]
+    g = GreenKernel(net).gram(grounded)
 
     def kval(a, b):
         if a == net.base or b == net.base:

@@ -27,31 +27,34 @@ class Network:
 
     Edges are undirected, stored once, with finite, strictly positive
     conductances; self-loops and duplicates are rejected, and an invalid
-    network reports its first offending edge in input order.  Edges are held
-    as index arrays: ``_ends`` (E x 2 vertex indices) and ``_cond``, in input
-    order; neighbours are slices of one CSR built from them, in edge order.
+    network reports its first offending edge in input order.  A network
+    holds its edge arrays ``_ends`` (E x 2 vertex indices) and ``_cond`` in
+    input order, the per-vertex totals ``_total`` (each c(x) summed as the
+    Laplacian's diagonal entry) and, built once under a lock, the grounded
+    Laplacian's one sparse factor; neighbours and Green values (one solve
+    per requested column, nothing dense cached) are read from those.
     Instances are immutable after construction and safe to share across
-    threads; the grounded Laplacian's one sparse factor and the Green matrix
-    are each computed once under a lock.  That Laplacian is symmetric
-    positive definite, so SuperLU factors it in symmetric mode: a
-    minimum-degree ordering of A + Aᵀ and diagonal pivots, one permutation
-    P with Pᵀ A P = L U.
+    threads.  The grounded Laplacian is symmetric positive definite, so
+    SuperLU factors it in symmetric mode: a minimum-degree ordering of
+    A + Aᵀ and diagonal pivots, one permutation P with Pᵀ A P = L U.
     """
 
     def __init__(self, vertices, base, edges):
         pts = PointSet.of(vertices)
+        base = _canon_label(base)
         if base not in pts:
             raise ValueError(f"base vertex {base!r} is not a vertex")
         find = pts._index.get
 
         def lookup(label):  # -1 for an unknown or unhashable label
             try:
-                return find(_canon_label(label), -1)
+                return find(label, -1)
             except TypeError:
                 return -1
 
         triples, ends, cond = [], [], []
         for u, v, c in edges:
+            u, v = _canon_label(u), _canon_label(v)
             try:
                 c = float(c)
                 cond.append(c)
@@ -78,19 +81,13 @@ class Network:
         self._cond = cond           # conductances in edge order, nan unconvertible
         self._edges = edges
         self._validate()
-        n = len(pts)
-        rows = ends.ravel()
-        order = np.argsort(rows, kind="stable")
-        # CSR over both orientations of every edge, each row in edge order
-        self._nbr_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        self._nbr = ends[:, ::-1].ravel()[order]
-        self._nbr_cond = np.repeat(cond, 2)[order]
+        # c(x), the Laplacian's diagonal: each vertex's edges as first
+        # endpoint, then as second, in edge order
+        self._total = np.bincount(ends.T.ravel(), np.tile(cond, 2), len(pts))
         self._check_connected()
         self._grounded_points = None  # V \ {base} as a PointSet, built on first use
-        # reentrant: building the Green matrix solves through the same guard
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._grounded = None       # cached symmetric-mode SuperLU factor of the grounded Laplacian
-        self._green = None          # cached Green matrix over V \ {base}
 
     def _validate(self):
         """Raise for the first edge in input order that is a self-loop, names
@@ -117,7 +114,8 @@ class Network:
         from scipy.sparse.csgraph import connected_components
 
         n = len(self.vertices)
-        graph = scipy.sparse.csr_matrix((self._nbr_cond, self._nbr, self._nbr_ptr), shape=(n, n))
+        u, v = self._ends.T
+        graph = scipy.sparse.csr_matrix((self._cond, (u, v)), shape=(n, n))
         _, component = connected_components(graph, directed=False)
         unreached = np.flatnonzero(component != component[self._base_index])
         if unreached.size:
@@ -148,8 +146,9 @@ class Network:
     def _incident(self, x):
         """Neighbour indices and conductances of x, in edge order."""
         i = self.index(x)
-        lo, hi = self._nbr_ptr[i], self._nbr_ptr[i + 1]
-        return self._nbr[lo:hi], self._nbr_cond[lo:hi]
+        u, v = self._ends.T
+        at = (u == i) | (v == i)
+        return np.where(u[at] == i, v[at], u[at]), self._cond[at]
 
     def neighbors(self, x):
         idx, cond = self._incident(x)
@@ -164,8 +163,9 @@ class Network:
         return float(cond[hit[0]]) if hit.size else 0.0
 
     def total_conductance(self, x) -> float:
-        """c(x): the sum of conductances of all edges at x, in edge order."""
-        return float(sum(self._incident(x)[1].tolist()))
+        """c(x): the sum of conductances of all edges at x, the Laplacian's
+        diagonal entry at x bit for bit."""
+        return float(self._total[self.index(x)])
 
     def grounded_vertices(self) -> PointSet:
         # built at most once per thread that races here; every build is equal
@@ -174,14 +174,6 @@ class Network:
             labels, b = self.vertices.labels, self._base_index
             pts = self._grounded_points = PointSet.canonical(labels[:b] + labels[b + 1:])
         return pts
-
-    def _grounded_index(self, i: int) -> int:
-        """Position of vertex index i (not the base) in V \\ {base}."""
-        return i - (i > self._base_index)
-
-    def _grounded_indices(self) -> np.ndarray:
-        """Vertex indices of V \\ {base}, in grounded-vertex order."""
-        return np.delete(np.arange(len(self.vertices)), self._base_index)
 
     def _grounded_system(self):
         ground = self._grounded
@@ -193,14 +185,13 @@ class Network:
 
                     n, b = len(self.vertices) - 1, self._base_index
                     u, v = self._ends.T
-                    c = self._cond
                     # the Laplacian off the base's row and column, in grounded
-                    # indices; each diagonal entry is summed once, in edge order,
-                    # so the sparse conversion has no duplicates to sum in an
-                    # order of its own
-                    diag = np.delete(np.bincount(np.concatenate([u, v]), np.concatenate([c, c]), n + 1), b)
+                    # indices; the diagonal is the per-vertex totals, so the
+                    # sparse conversion has no duplicates to sum in an order
+                    # of its own
+                    diag = np.delete(self._total, b)
                     off = (u != b) & (v != b)
-                    u, v, c = u[off] - (u[off] > b), v[off] - (v[off] > b), c[off]
+                    u, v, c = u[off] - (u[off] > b), v[off] - (v[off] > b), self._cond[off]
                     rows, cols = np.concatenate([np.arange(n), u, v]), np.concatenate([np.arange(n), v, u])
                     lap = scipy.sparse.csc_matrix((np.concatenate([diag, -c, -c]), (rows, cols)), shape=(n, n))
                     # SPD: minimum degree on A + Aᵀ and diagonal pivots give Pᵀ A P = L U
@@ -217,23 +208,9 @@ class Network:
         return self._grounded_system().solve(rhs)
 
     def green_matrix(self) -> np.ndarray:
-        """Inverse of the grounded Laplacian: entries k(x, y) over V \\ {base}.
-
-        Symmetrized once at cache time; the energy inner product it
-        represents is symmetric, so the averaging only removes solver
-        rounding.
-        """
-        green = self._green
-        if green is None:
-            with self._lock:
-                green = self._green
-                if green is None:
-                    m = len(self.vertices) - 1
-                    green = self.grounded_solve(np.eye(m))
-                    green = 0.5 * (green + green.T)
-                    green.setflags(write=False)
-                    self._green = green
-        return green
+        """Inverse of the grounded Laplacian: entries k(x, y) over V \\ {base},
+        one solve per column; nothing is cached."""
+        return GreenKernel(self).gram(self.grounded_vertices().labels)
 
     # -- serialization -----------------------------------------------------
 
@@ -246,13 +223,8 @@ class Network:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Network":
-        def freeze(label):
-            return tuple(freeze(x) for x in label) if isinstance(label, list) else label
-
         try:
-            vertices = [freeze(v) for v in doc["vertices"]]
-            base = freeze(doc["base"])
-            edges = [(freeze(u), freeze(v), c) for u, v, c in doc["edges"]]
+            vertices, base, edges = doc["vertices"], doc["base"], doc["edges"]
         except KeyError as err:
             raise ValueError(f"network document is missing field {err}") from None
         return cls(vertices, base, edges)
@@ -336,18 +308,16 @@ def dipole(net: Network, x) -> Dipole:
     """Solve the grounded Laplacian system for the pole x."""
     if x == net.base:
         raise ValueError("the base vertex has the zero dipole by convention")
-    i = net.index(x)
-    rhs = np.zeros(len(net.vertices) - 1)
-    rhs[net._grounded_index(i)] = 1.0
-    keep = net._grounded_indices()
-    values = np.zeros(len(net.vertices))
-    values[keep] = net.grounded_solve(rhs)
+    i, b = net.index(x), net._base_index
+    source = np.zeros(len(net.vertices))
+    source[i] = 1.0
+    values = np.insert(net.grounded_solve(np.delete(source, b)), b, 0.0)
     # contract: applying the Laplacian returns the dipole source pattern
     resid = laplacian_apply(net, values)
     resid[i] -= 1.0
-    resid[net._base_index] += 1.0
+    resid[b] += 1.0
     if float(np.abs(resid).max()) > DIPOLE_RTOL * net.total_conductance(x):
-        values[keep] += net.grounded_solve(-resid[keep])
+        values += np.insert(net.grounded_solve(-np.delete(resid, b)), b, 0.0)
     return Dipole(pole=x, values=values)
 
 
@@ -366,13 +336,17 @@ class GreenKernel(Kernel):
         return label in self.points
 
     def __call__(self, x, y) -> float:
-        g = self.network.green_matrix()
-        return float(g[self.points.index(x), self.points.index(y)])
+        return float(self.gram([x, y])[0, 1])
 
     def gram(self, labels) -> np.ndarray:
-        g = self.network.green_matrix()
+        """k over the labels: one grounded solve per label, symmetrized; the
+        energy inner product is symmetric, so the averaging only removes
+        solver rounding."""
         idx = [self.points.index(x) for x in labels]
-        return g[np.ix_(idx, idx)].copy()
+        rhs = np.zeros((len(self.points), len(idx)))
+        rhs[idx, np.arange(len(idx))] = 1.0
+        g = self.network.grounded_solve(rhs)[idx]
+        return 0.5 * (g + g.T)
 
 
 def green_kernel(net: Network) -> GreenKernel:
@@ -415,16 +389,10 @@ def resistance(net: Network, x, y) -> float:
     i, j, b = net.index(x), net.index(y), net._base_index
     if i == j:
         return 0.0
-    gi, gj = net._grounded_index(i), net._grounded_index(j)
-    rhs = np.zeros(len(net.vertices) - 1)
-    if i != b:
-        rhs[gi] = 1.0
-    if j != b:
-        rhs[gj] -= 1.0
-    sol = net.grounded_solve(rhs)
-    vx = sol[gi] if i != b else 0.0
-    vy = sol[gj] if j != b else 0.0
-    return float(vx - vy)
+    source = np.zeros(len(net.vertices))
+    source[i], source[j] = 1.0, -1.0
+    volts = np.insert(net.grounded_solve(np.delete(source, b)), b, 0.0)
+    return float(volts[i] - volts[j])
 
 
 def kernel_from_resistance(net: Network, x, y) -> float:

@@ -197,7 +197,16 @@ def tree_delta_norm_closed(word: Word, weights: LevelWeights, depth: int) -> flo
             f"word at level {level} is a leaf of the depth-{depth} truncation; "
             "its closed form needs the missing children"
         )
-    return 2.0 / weights.r(level) + 1.0 / weights.r(level - 1)
+    return _level_energy(level, weights)
+
+
+def _level_energy(level: int, weights: LevelWeights) -> float:
+    """Point-mass energy 2/r(level) + 1/r(level - 1) of an interior word at
+    the level; raises ``WeightUndefined`` where it overflows."""
+    energy = 2.0 / weights.r(level) + 1.0 / weights.r(level - 1)
+    if energy == math.inf:
+        raise WeightUndefined(f"point-mass energy at level {level} overflows floating point")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -261,13 +270,10 @@ def energy_histogram(depth: int, weights: LevelWeights) -> list[HistogramRow]:
         raise ValueError("a histogram needs depth at least 2")
     rows = []
     for level in range(1, depth):
-        energy = 2.0 / weights.r(level) + 1.0 / weights.r(level - 1)
-        if energy == math.inf:
-            raise WeightUndefined(f"point-mass energy at level {level} overflows floating point")
         rows.append(
             HistogramRow(
                 level=level,
-                energy=energy,
+                energy=_level_energy(level, weights),
                 multiplicity=2 ** level,
                 uses_level0=(level == 1),
             )

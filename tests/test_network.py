@@ -205,8 +205,55 @@ class TestGreenKernel:
                 vy = dipole(net, y)
                 assert abs(vx.values[net.index(y)] - vy.values[net.index(x)]) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _grid(np.random.default_rng(67), 5), lambda: build_tree(8, LevelWeights.geometric(0.5))]
+        + [lambda seed=seed: random_connected_network(np.random.default_rng(seed), 25) for seed in (11, 12, 13)],
+        ids=["grid-5x5", "tree-8", "random-11", "random-12", "random-13"],
+    )
+    def test_gram_and_values_are_green_matrix_bits(self, make):
+        net = make()
+        kernel = green_kernel(net)
+        full = net.green_matrix()
+        assert np.array_equal(full, full.T)
+        labels = kernel.points.labels
+        pick = np.random.default_rng(len(labels)).choice(len(labels), size=6, replace=False)
+        pick = np.append(pick, pick[0])  # a repeated label gets the same bits
+        assert kernel.gram([labels[i] for i in pick]).tobytes() == full[np.ix_(pick, pick)].tobytes()
+        for i, j in zip(pick, np.roll(pick, 1)):
+            assert kernel(labels[i], labels[j]) == full[i, j]
+
+    def test_kernel_eval_on_a_depth_11_tree_solves_two_columns(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        from rkhskit import cli
+
+        doc = tmp_path / "tree.json"
+        net = build_tree(11, LevelWeights.geometric(0.5))
+        doc.write_text(json.dumps({"kernel": {"type": "network", "network": net.to_json()}}))
+        columns = []
+        solve = Network.grounded_solve
+        monkeypatch.setattr(
+            Network, "grounded_solve",
+            lambda self, rhs: columns.append(1 if rhs.ndim == 1 else rhs.shape[1]) or solve(self, rhs),
+        )
+        x, y = json.dumps([0] * 11), json.dumps([0] * 10 + [1])
+        assert cli.main(["kernel", "eval", "--input", str(doc), "--x", x, "--y", y]) == 0
+        assert sum(columns) <= 2
+        # the dipoles meet at the leaves' parent: r(0) + ... + r(9)
+        assert float(capsys.readouterr().out) == pytest.approx(2.0 - 2.0 ** -9, rel=1e-12)
+
 
 class TestDeltaNorm:
+    def test_is_the_laplacian_diagonal_bit_for_bit(self):
+        rng = np.random.default_rng(2400)
+        for _ in range(300):
+            net = random_connected_network(rng, 8)
+            for x in range(8):
+                unit = np.zeros(8)
+                unit[x] = 1.0
+                assert delta_norm_sq(net, x) == laplacian_apply(net, unit)[x]
+
     def test_path_interior(self, path_oab):
         assert delta_norm_sq(path_oab, "a") == pytest.approx(2.0)
 
@@ -450,21 +497,34 @@ class TestSymmetricFactor:
 
 
 class TestConcurrency:
-    def test_green_matrix_built_once_across_threads(self):
+    def test_grounded_factor_built_once_across_threads(self, monkeypatch):
+        import sys
         import threading
 
         rng = np.random.default_rng(20)
         net = random_connected_network(rng, 12)
-        results = []
+        factored = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, **kw: factored.append(a) or splu(a, **kw))
+        results = [None] * 8
+        barrier = threading.Barrier(8)
 
-        def work():
-            results.append(net.green_matrix())
+        def work(i):
+            barrier.wait()
+            results[i] = net._grounded_system()
 
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(factored) == 1
         assert all(r is results[0] for r in results)
 
     def test_dipole_solves_are_order_independent(self):

@@ -120,6 +120,14 @@ class TestClosedFormEnergy:
         with pytest.raises(ValueError):
             tree_delta_norm_closed((), LevelWeights.constant(1.0), depth=3)
 
+    def test_overflowing_energy_raises_as_the_histogram_does(self):
+        # 1/r(1) is finite, but 2/r(1) is not
+        weights = LevelWeights.explicit([1.0, 6e-309, 1.0])
+        with pytest.raises(WeightUndefined, match="level 1"):
+            energy_histogram(3, weights)
+        with pytest.raises(WeightUndefined, match="level 1"):
+            tree_delta_norm_closed((0,), weights, 3)
+
     @pytest.mark.parametrize("weights", [LevelWeights.geometric(0.5), LevelWeights.constant(1.0)])
     def test_matches_network_solver_exactly(self, weights):
         depth = 6
