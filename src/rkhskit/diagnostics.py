@@ -151,22 +151,6 @@ def _reported_stages(filtration: Filtration) -> list:
     return [(pos, m) for pos, m in enumerate(filtration.sizes, start=1) if m > t]
 
 
-def _last_stage(kernel: Kernel, filtration: Filtration, m: int) -> tuple:
-    """``(gram, t, log_dets, factor)`` of a float kernel: the last stage's Gram,
-    assembled once, the target's index in it, and one LAPACK Cholesky of it,
-    which serves every stage as a leading block: the log-determinants of the
-    blocks it serves, and its factor U.  A kernel that gives the first ``m``
-    points (the first reported stage) a different matrix on their own than
-    this Gram's leading block has no block served."""
-    last = filtration.points
-    t = last.index(filtration.target)
-    a = assemble_gram(kernel, last).matrix
-    if m < len(a) and not np.array_equal(assemble_gram(kernel, last.prefix(m)).matrix, a[:m, :m]):
-        return a, t, np.empty(0), None
-    upper, served = _leading_factor(a)
-    return a, t, _log_dets(upper, served), upper
-
-
 def _exact_values(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     """Exact projection norms of the target at each reported stage, after a
     domain check, from one fraction-free elimination of the last stage's exact
@@ -181,7 +165,6 @@ def _exact_values(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     return tuple(norms[m - t - 1] for m in sizes)
 
 
-@_one_blas_thread
 def _leading_factor(matrix: np.ndarray):
     """One LAPACK Cholesky of ``matrix``, read as the factor of each of its
     leading blocks.
@@ -207,55 +190,49 @@ def _log_dets(upper: np.ndarray, served: int) -> np.ndarray:
     return np.cumsum(2.0 * np.log(np.diagonal(upper)[:served]))
 
 
-@_one_blas_thread
-def _float_values(kernel: Kernel, filtration: Filtration, sizes: list, last: tuple) -> list:
-    """Float projection norms of the target at each reported stage.
+def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, served: list) -> list:
+    """Float projection norms of the target at the stages of ``served`` that
+    the last stage's factor serves, up to the first that fails the check.
 
-    The last stage's factor serves a stage of m points when it serves the
-    m-block (:func:`_last_stage`) and ``zeta_m = U_m^-1 c[:m]`` meets the solve
+    The factor serves a stage of m points when it serves the m-block
+    (:func:`_leading_factor`) and ``zeta_m = U_m^-1 c[:m]`` meets the solve
     contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + max|K_m|)``, with
-    ``c = U^-T e_t``; its value is then ``sum_{k<m} c_k^2``.  Every stage the
-    factor serves is checked at once: column j of ``C`` is ``c`` with its
-    entries from ``m_j`` on cleared, and since ``U^-1`` is upper triangular,
-    column j of ``Z = U^-1 C`` (one ``dtrsm``) is ``zeta_{m_j}`` padded with
-    zeros, so one product ``K Z - e_t 1^T`` holds each stage's residual in
-    its first ``m_j`` rows.  From the first stage that fails, each stage is
-    assembled and solved on its own by the pivoted path, with its
-    semidefinite and not-PSD verdicts.
+    ``c = U^-T e_t``; its value is then ``sum_{k<m} c_k^2``.  Every stage is
+    checked at once: column j of ``C`` is ``c`` with its entries from ``m_j``
+    on cleared, and since ``U^-1`` is upper triangular, column j of
+    ``Z = U^-1 C`` (one ``dtrsm``) is ``zeta_{m_j}`` padded with zeros, so one
+    product ``K Z - e_t 1^T`` holds each stage's residual in its first ``m_j``
+    rows.  The n-by-stages temporaries die on return, before the caller
+    factors the target-deleted minor.
     """
     from scipy.linalg.blas import dgemm, dtpsv, dtrsm
     from scipy.linalg.lapack import dtrttp
 
-    a, t, log_dets, upper = last
-    served = np.array([m for m in sizes if m <= len(log_dets)], dtype=np.intp)
-    values = []
-    if len(served):
-        n = int(served[-1])
-        # column-major packed upper triangles: the first m(m+1)/2 entries
-        # pack the leading m-block; those of K^T are the rows of K's lower
-        # triangle, whose running maxima give max|K_m| for every m.  The
-        # values' last bits follow the packed solve for c, which the golden
-        # diagnose CSVs pin.
-        packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0][: n * (n + 1) // 2]
-        e_t = np.zeros(n)
-        e_t[t] = 1.0
-        c = dtpsv(n, packed_u, e_t, trans=1)
-        rows = np.arange(n)
-        scale = np.maximum.accumulate(
-            np.maximum.reduceat(np.abs(packed_k, out=packed_k), rows * (rows + 1) // 2)
-        )
-        inside = rows < served[:, None]
-        z = dtrsm(1.0, upper[:n, :n], (inside * c).T, overwrite_b=1)
-        resid = dgemm(1.0, a.T[:n, :n], z)   # K is symmetric bit for bit
-        resid[t] -= 1.0
-        np.abs(resid, out=resid).T[~inside] = 0.0
-        passed = resid.max(axis=0) <= SOLVE_RTOL * (1.0 + scale[served - 1])
-        count = len(served) if passed.all() else int(np.argmin(passed))
-        values = np.cumsum(c * c)[served[:count] - 1].tolist()
-    for m in sizes[len(values):]:
-        stage = assemble_gram(kernel, filtration.points.prefix(m))
-        values.append(projection_norm_sq(stage, filtration.target))
-    return values
+    if not served:
+        return []
+    served = np.array(served, dtype=np.intp)
+    n = int(served[-1])
+    # column-major packed upper triangles: the first m(m+1)/2 entries
+    # pack the leading m-block; those of K^T are the rows of K's lower
+    # triangle, whose running maxima give max|K_m| for every m.  The
+    # values' last bits follow the packed solve for c, which the golden
+    # diagnose CSVs pin.
+    packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0][: n * (n + 1) // 2]
+    e_t = np.zeros(n)
+    e_t[t] = 1.0
+    c = dtpsv(n, packed_u, e_t, trans=1)
+    rows = np.arange(n)
+    scale = np.maximum.accumulate(
+        np.maximum.reduceat(np.abs(packed_k, out=packed_k), rows * (rows + 1) // 2)
+    )
+    inside = rows < served[:, None]
+    z = dtrsm(1.0, upper[:n, :n], (inside * c).T, overwrite_b=1)
+    resid = dgemm(1.0, a.T[:n, :n], z)   # K is symmetric bit for bit
+    resid[t] -= 1.0
+    np.abs(resid, out=resid).T[~inside] = 0.0
+    passed = resid.max(axis=0) <= SOLVE_RTOL * (1.0 + scale[served - 1])
+    count = len(served) if passed.all() else int(np.argmin(passed))
+    return np.cumsum(c * c)[served[:count] - 1].tolist()
 
 
 def _without(a: np.ndarray, t: int) -> np.ndarray:
@@ -268,28 +245,54 @@ def _without(a: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _float_det_ratios(kernel: Kernel, filtration: Filtration, sizes: list, last: tuple) -> list:
-    """Float det(target-deleted minor) / det(K) at each reported stage.
+@_one_blas_thread
+def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
+    """``(values, ratios, reason)`` of a float kernel at each reported stage:
+    the target's projection norms, its determinant ratios
+    det(target-deleted minor) / det(K), or None and the message of the error
+    that stopped them.
 
-    The stages and their target-deleted minors are the leading blocks of the
-    last stage's Gram and of that Gram with the target's row and column
-    deleted, so one factor of each gives every log-determinant as a running
-    sum of ``2 log U_kk``; ``last`` carries the first.  A stage is served
-    while both factors serve their blocks; from the first stage that fails,
-    its matrices are assembled and factored on their own by the pivoted path.
+    Every stage and its target-deleted minor are leading blocks of the last
+    stage's Gram and of that Gram with the target's row and column deleted,
+    so the Gram is assembled once and one LAPACK Cholesky of each serves
+    them: a value while :func:`_checked_values` passes it, a ratio while
+    both factors serve its blocks, read from running sums of ``2 log U_kk``.
+    A kernel that gives the first reported stage a different matrix on its
+    own than the Gram's leading block has no stage served.  From the first
+    stage either misses, each stage is assembled once and its one pivoted
+    factor gives its value (with its semidefinite and not-PSD verdicts) and
+    its ratio, beside its minor's own factor.
     """
-    a, t, full = last[:3]
-    ratios = []
-    if len(full):
+    points, target = filtration.points, filtration.target
+    t, first = points.index(target), sizes[0]
+    a = assemble_gram(kernel, points).matrix
+    consistent = first == len(a) or np.array_equal(
+        assemble_gram(kernel, points.prefix(first)).matrix, a[:first, :first])
+    upper, served = _leading_factor(a) if consistent else (None, 0)
+    values, ratios = [], []
+    if served:
+        full = _log_dets(upper, served)
+        values = _checked_values(a, t, upper, [m for m in sizes if m <= served])
+        del upper   # free U before the minor is factored
         rest = np.concatenate([[0.0], _log_dets(*_leading_factor(_without(a, t)))])
-        served = min(len(full), len(rest))
-        ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in sizes if m <= served]
-    for m in sizes[len(ratios):]:
-        stage = filtration.points.prefix(m)
-        others = [x for x in stage if x != filtration.target]
-        ld_minor = log_det(assemble_gram(kernel, others)) if others else 0.0
-        ratios.append(math.exp(ld_minor - log_det(assemble_gram(kernel, stage))))
-    return ratios
+        ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in sizes if m <= min(served, len(rest))]
+    reason = None
+    for i in range(min(len(values), len(ratios)), len(sizes)):
+        value_due, ratio_due = len(values) == i, reason is None and len(ratios) == i
+        if not (value_due or ratio_due):
+            continue
+        stage = points.prefix(sizes[i])
+        gram = assemble_gram(kernel, stage)
+        if value_due:
+            values.append(projection_norm_sq(gram, target))
+        if ratio_due:
+            others = [x for x in stage if x != target]
+            try:
+                ld_minor = log_det(assemble_gram(kernel, others)) if others else 0.0
+                ratios.append(math.exp(ld_minor - log_det(gram)))
+            except RKHSKitError as err:
+                reason = str(err)
+    return values, None if reason else ratios, reason
 
 
 def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
@@ -311,35 +314,30 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     The determinant ratios det(target-deleted minor) / det(K) are the same
     norms (K^-1)[t, t] by Cramer's rule.  On the exact path each is the
     correctly rounded exact value.  On the float path they are an independent
-    cross-check from determinants only (:func:`_float_det_ratios`), computed
-    once the values passed the monotonicity check; a stage without a ratio
-    (a semidefinite minor, say) leaves ``det_ratios`` None and the error's
-    message in ``det_ratio_unavailable``.
+    cross-check from determinants only (:func:`_float_trace`): the
+    target-deleted minor of the last stage is factored after the values'
+    batched check and before the monotonicity check, so a trace that fails
+    that check has paid for it too.  A stage that falls back is assembled
+    and pivot-factored once, and that one factor gives both its value and
+    its ratio.  A stage without a ratio (a semidefinite minor, say) leaves
+    ``det_ratios`` None and the error's message in ``det_ratio_unavailable``.
     """
     reported = _reported_stages(filtration)
     sizes = [m for _, m in reported]
-    exact_values = None
-    if kernel.is_exact:
+    exact_values = error = None
+    if kernel.is_exact:  # the exact ratios are the values, in an array of their own
         exact_values = _exact_values(kernel, filtration, sizes)
-        values = [float(v) for v in exact_values]
+        values = ratios = [float(v) for v in exact_values]
     else:
-        last = _last_stage(kernel, filtration, sizes[0])
-        values = _float_values(kernel, filtration, sizes, last)
-        last = last[:3]  # free the factor U before the ratios factor the minor
+        values, ratios, error = _float_trace(kernel, filtration, sizes)
     _enforce_monotone(values)
-    ratios = error = None
-    try:  # the exact ratios are the values, in an array of their own
-        ratios = np.asarray(values if kernel.is_exact else _float_det_ratios(kernel, filtration, sizes, last),
-                            dtype=float)
-    except RKHSKitError as err:
-        error = str(err)
     return FiltrationTrace(
         target=filtration.target,
         stage_indices=tuple(pos for pos, _ in reported),
         stage_sizes=tuple(sizes),
         values=np.asarray(values, dtype=float),
         exact_values=exact_values,
-        det_ratios=ratios,
+        det_ratios=None if ratios is None else np.asarray(ratios, dtype=float),
         det_ratio_unavailable=error,
     )
 

@@ -1,9 +1,16 @@
 """Seeded joint-Gaussian sampling with a prescribed kernel covariance.
 
-Draw i, component j is a pure function of (seed, i, j): each draw row owns a
-counter-based Philox4x64-10 stream (Salmon et al., SC'11), consumed as
-uniforms and pushed through the inverse normal CDF.  A longer run therefore
-starts with the draws of a shorter one.
+The normals behind draw i, component j are a pure function of (seed, i, j):
+each draw row owns a counter-based Philox4x64-10 stream (Salmon et al.,
+SC'11), consumed as uniforms and pushed through the inverse normal CDF, so a
+longer run starts with the normals of a shorter one bit for bit.  The draws
+are those normals times the covariance's pivoted factor, by one matrix
+product whose rounding follows the draw count, so a longer run's first draws
+match a shorter run's only within rounding: on a depth-6 tree's Green Gram,
+rows 0-6 of 3000 draws differ from 7 draws by 6.9e-16 of max|x|.  The draws
+are bit-exact for a bit-identical (gram, n, seed) only: a Gram equal within
+rounding can break ties between pivots otherwise, and ``dpstrf``'s pivot
+order decides the factor.
 
 The stream is numpy's ``Generator(Philox(key=seed, counter=i << 64))``
 computed for all rows at once: the key is ``(seed mod 2^64, seed >> 64)``,

@@ -31,8 +31,9 @@ class Network:
     holds its edge arrays ``_ends`` (E x 2 vertex indices) and ``_cond`` in
     input order, the per-vertex totals ``_total`` (each c(x) summed as the
     Laplacian's diagonal entry) and, built once under a lock, the grounded
-    Laplacian's one sparse factor; neighbours and Green values (one solve
-    per requested column, nothing dense cached) are read from those.
+    Laplacian's one sparse factor; Green values (one solve per requested
+    column, nothing dense cached) are read from those, and neighbours from
+    an index of the edge arrays built on first use.
     Instances are immutable after construction and safe to share across
     threads.  The grounded Laplacian is symmetric positive definite, so
     SuperLU factors it in symmetric mode: a minimum-degree ordering of
@@ -86,6 +87,7 @@ class Network:
         self._total = np.bincount(ends.T.ravel(), np.tile(cond, 2), len(pts))
         self._check_connected()
         self._grounded_points = None  # V \ {base} as a PointSet, built on first use
+        self._adjacency = None      # (ptr, neighbour, conductance) by vertex, built on first use
         self._lock = threading.Lock()
         self._grounded = None       # cached symmetric-mode SuperLU factor of the grounded Laplacian
 
@@ -144,11 +146,17 @@ class Network:
         return self.vertices.index(x)
 
     def _incident(self, x):
-        """Neighbour indices and conductances of x, in edge order."""
+        """Neighbour indices and conductances of x, in edge order, read from
+        an index of all edge endpoints sorted by vertex, built on first use."""
         i = self.index(x)
-        u, v = self._ends.T
-        at = (u == i) | (v == i)
-        return np.where(u[at] == i, v[at], u[at]), self._cond[at]
+        adjacency = self._adjacency
+        if adjacency is None:  # racing threads build equal arrays
+            ends = self._ends.ravel()  # entry 2e + s: endpoint s of edge e
+            order = np.argsort(ends, kind="stable")  # by vertex, then edge
+            ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=len(self.vertices)))])
+            adjacency = self._adjacency = (ptr, ends[order ^ 1], self._cond[order // 2])
+        ptr, nbr, cond = adjacency
+        return nbr[ptr[i]:ptr[i + 1]], cond[ptr[i]:ptr[i + 1]]
 
     def neighbors(self, x):
         idx, cond = self._incident(x)

@@ -35,7 +35,6 @@ from rkhskit import (
     MonotonicityViolation,
     NotPositiveSemidefinite,
     PointSet,
-    RKHSKitError,
     SingularGram,
     Stabilized,
     TableKernel,
@@ -116,7 +115,7 @@ class TestTrace:
         assert [int(v) for v in tr.exact_values] == [1, 5, 14, 30]
         np.testing.assert_allclose(tr.values, [1.0, 5.0, 14.0, 30.0])
 
-    def test_monotonicity_violation_detected(self, monkeypatch):
+    def test_monotonicity_violation_detected(self):
         class ShrinkingKernel(Kernel):
             # inconsistent on purpose: entries depend on the stage size, so
             # the nesting theorem fails and the guard must fire
@@ -125,11 +124,8 @@ class TestTrace:
             def gram(self, labels):
                 return np.eye(len(labels)) * len(labels)
 
-        kernel = ShrinkingKernel()
-        # the guard fires before the determinant ratios are computed
-        monkeypatch.setattr(diagnostics, "_float_det_ratios", None)
         with pytest.raises(MonotonicityViolation):
-            trace(kernel, Filtration.prefixes([0, 1, 2]))
+            trace(ShrinkingKernel(), Filtration.prefixes([0, 1, 2]))
 
     def test_monotonicity_violation_names_the_first_drop(self):
         # a drop within MONOTONE_ATOL + MONOTONE_RTOL |a| is slack, not a violation
@@ -212,14 +208,33 @@ class TestOneFactorFallback:
         calls = _count_pivoted(monkeypatch)
         tr = trace(kernel, filtration)
         assert tr.values.tolist() == want
-        # the values' stages, then each stage's target-deleted minor and the stage
-        assert calls == [2, 3, 4, 1, 2, 2, 3, 3, 4]
+        # each stage, for its value, then its target-deleted minor; the
+        # stage's own factor is cached and gives its ratio too
+        assert calls == [2, 1, 3, 2, 4, 3]
         fresh = [
             math.exp(log_det(assemble_gram(kernel, [x for x in stage if x != 2.0]))
                      - log_det(assemble_gram(kernel, stage)))
             for stage in _stages(filtration)[1:]
         ]
         assert tr.det_ratios.tolist() == fresh
+
+    def test_fallback_stage_assembled_and_factored_once(self, monkeypatch):
+        # the stage a value falls back to is the stage its ratio reads, so
+        # one Gram and its one cached pivoted factor serve both
+        assembled = []
+        original = diagnostics.assemble_gram
+
+        def counting(kernel, points):
+            assembled.append(len(points))
+            return original(kernel, points)
+
+        monkeypatch.setattr(diagnostics, "assemble_gram", counting)
+        calls = _count_pivoted(monkeypatch)
+        tr = trace(SetScaledKernel(), Filtration.prefixes([1.0, 2.0, 3.5, 5.0], target=2.0))
+        # the last stage and the consistency check, then each stage and its minor
+        assert assembled == [4, 2, 2, 1, 3, 2, 4, 3]
+        assert len(calls) == 6
+        assert len(tr.det_ratios) == 3
 
     def test_lapack_failure_mid_filtration(self, monkeypatch):
         # point 2 repeats the section at 1 with exact binary arithmetic, so
@@ -236,8 +251,9 @@ class TestOneFactorFallback:
         filtration = Filtration.prefixes(range(5), target=0)
         calls = _count_pivoted(monkeypatch)
         tr = trace(kernel, filtration)
-        # stage 3's minor, on points 1 and 2, is singular: the ratios stop there
-        assert calls == [3, 4, 5, 2]
+        # stage 3's minor, on points 1 and 2, is singular: the ratios stop
+        # there, and stages 4 and 5 are factored for their values alone
+        assert calls == [3, 2, 4, 5]
         np.testing.assert_allclose(tr.values, [1.0, 1.25, 1.25, 1.25, 1.25], rtol=1e-12)
         assert tr.det_ratios is None
         assert tr.det_ratio_unavailable == "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=1)"
@@ -254,9 +270,9 @@ class TestOneFactorFallback:
         want = _fresh_stage_values(kernel, filtration)
         calls = _count_pivoted(monkeypatch)
         tr = trace(kernel, filtration)
-        # then stage 5's minor, on points 2 and 2 + 1e-13 among others, is
-        # semidefinite at the pivot threshold: the ratios stop there
-        assert calls == [5, 6, 4]
+        # stage 5, then its minor, on points 2 and 2 + 1e-13 among others,
+        # which is semidefinite at the pivot threshold: the ratios stop there
+        assert calls == [5, 4, 6]
         np.testing.assert_allclose(tr.values, want, rtol=1e-12)
         assert tr.values[4:].tolist() == want[4:]
         assert tr.det_ratios is None
@@ -357,19 +373,6 @@ def _ratios_or_error(tr):
     return tr.det_ratio_unavailable if tr.det_ratios is None else tr.det_ratios.tolist()
 
 
-def _fresh_ratios_or_error(kernel, filtration):
-    """Determinant ratios from a last stage eliminated, or assembled and
-    factored, afresh; or the message of the error they raise."""
-    sizes = [m for _, m in diagnostics._reported_stages(filtration)]
-    if kernel.is_exact:
-        return [float(v) for v in diagnostics._exact_values(kernel, filtration, sizes)]
-    last = diagnostics._last_stage(kernel, filtration, sizes[0])
-    try:
-        return diagnostics._float_det_ratios(kernel, filtration, sizes, last)
-    except RKHSKitError as err:
-        return str(err)
-
-
 def _shared_stage_cases():
     rng = np.random.default_rng(62)
     line = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 80)))]
@@ -432,15 +435,17 @@ def test_shared_stage_ratios_match_golden(threads):
 
 class TestSharedLastStage:
     """``trace`` reads its determinant ratios from the last stage it
-    assembled and factored for its values, and gives the ratios of a last
-    stage assembled and factored afresh bit for bit: the values' solves leave
-    that stage as they found it."""
+    assembled and factored for its values, and gives the ratios of a trace
+    that skips the values' batched check bit for bit: the check leaves that
+    stage as it found it, and a stage that then falls back gives the ratio
+    of its minor and its own cached factor."""
 
     @pytest.mark.parametrize("case", sorted(SHARED_STAGE_CASES))
-    def test_ratios_with_and_without_trace_identical(self, case):
+    def test_ratios_with_and_without_trace_identical(self, case, monkeypatch):
         kernel, filtration = SHARED_STAGE_CASES[case]
-        tr = trace(kernel, filtration)
-        assert _ratios_or_error(tr) == _fresh_ratios_or_error(kernel, filtration)
+        with_check = _ratios_or_error(trace(kernel, filtration))
+        monkeypatch.setattr(diagnostics, "_checked_values", lambda *args: [])
+        assert with_check == _ratios_or_error(trace(kernel, filtration))
 
     def test_trace_of_another_kernel_is_not_reused(self):
         # a trace leaves nothing on the filtration: the Brownian trace's Gram

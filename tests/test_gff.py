@@ -12,11 +12,13 @@ from rkhskit import gff
 from rkhskit import (
     BrownianKernel,
     GramMatrix,
+    LevelWeights,
     MissingNeighbor,
     Network,
     NotPositiveSemidefinite,
     PointSet,
     assemble_gram,
+    build_tree,
     covariance_standard_error,
     covariance_triangle_check,
     delta_norm_sq,
@@ -51,6 +53,17 @@ class TestDeterminism:
         a = sample(path_gram, 100, 3)
         b = sample(path_gram, 300, 3)
         assert np.array_equal(b.samples[:100], a.samples)
+
+
+def test_longer_run_starts_with_shorter_within_rounding():
+    # the normals are prefix-stable bit for bit; the product with the factor
+    # rounds by the draw count, so the draws agree only within rounding
+    kernel = green_kernel(build_tree(6, LevelWeights.geometric(0.5)))
+    gram = assemble_gram(kernel, kernel.points)
+    rank = gram.factorization().upper.shape[0]
+    assert np.array_equal(gff._normal_rows(11, 3000, rank)[:7], gff._normal_rows(11, 7, rank))
+    short, long = sample(gram, 7, 11).samples, sample(gram, 3000, 11).samples[:7]
+    assert np.abs(long - short).max() <= 1e-14 * np.abs(short).max()
 
 
 def oracle_uniforms(seed, n, cols):

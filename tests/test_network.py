@@ -477,6 +477,38 @@ def _grid(rng, side):
     return Network(list(range(side * side)), 0, edges)
 
 
+def _masked_neighbors(net, x):
+    """Neighbours of x by masking every edge, in edge order."""
+    i = net.index(x)
+    u, v = net._ends.T
+    at = (u == i) | (v == i)
+    labels = net.vertices.labels
+    idx = np.where(u[at] == i, v[at], u[at])
+    return tuple(zip([labels[j] for j in idx.tolist()], net._cond[at].tolist()))
+
+
+class TestNeighbourIndex:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda seed=seed: random_connected_network(np.random.default_rng(seed), 12) for seed in (5, 6, 7)]
+        + [lambda seed=seed: random_tree_network(np.random.default_rng(seed), 12) for seed in (8, 9)]
+        + [lambda: _grid(np.random.default_rng(68), 6), lambda: build_tree(6, LevelWeights.geometric(0.5))],
+        ids=["random-5", "random-6", "random-7", "tree-8", "tree-9", "grid-6x6", "tree-6"],
+    )
+    def test_neighbors_match_edge_mask_in_order_and_bits(self, make):
+        net = make()
+        for x in net.vertices:
+            got, want = net.neighbors(x), _masked_neighbors(net, x)
+            assert [y for y, _ in got] == [y for y, _ in want]
+            assert np.array([c for _, c in got]).tobytes() == np.array([c for _, c in want]).tobytes()
+
+    def test_index_is_built_on_first_read(self):
+        net = _grid(np.random.default_rng(69), 3)
+        assert net._adjacency is None
+        net.neighbors(4)
+        assert net._adjacency is not None
+
+
 class TestSymmetricFactor:
     @pytest.mark.parametrize(
         "make",
