@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _graphs import random_connected_network
 import rkhskit.cli as cli
 from rkhskit import (
     BridgeKernel,
@@ -55,7 +56,7 @@ from rkhskit import (
     delta_expand,
     trace,
 )
-from rkhskit.gff import sample
+from rkhskit.gff import covariance_triangle_check, sample
 from rkhskit.serialize import read_matrix_csv, write_matrix_csv
 
 VALUE_RTOL = 1e-10
@@ -591,6 +592,137 @@ def test_network_structure_matches_golden_hash(name):
         for x in labels
     ]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == STRUCTURE_SHA256[name]
+
+
+# -- networks with a non-zero base ------------------------------------------
+
+# Three seeded chorded networks from tests/_graphs, re-based at a vertex
+# other than 0, so base-relative indexing is exercised away from the first
+# row.  The digests were taken while the Laplacian was factored with the
+# base's row and column deleted, before the factor kept every vertex and
+# pinned the base's row to the identity; they must match byte for byte.
+REBASED = {"chords-12": (2701, 12, 5), "chords-25": (2702, 25, 24), "chords-40": (2703, 40, 17)}
+
+
+def rebased_network(name):
+    seed, n, base = REBASED[name]
+    net = random_connected_network(np.random.default_rng(seed), n, extra_edges=n)
+    return Network(net.vertices.labels, base, net.edges)
+
+
+def rebased_commands(name, doc, kernel_doc):
+    """CLI arguments per pinned output of one rebased network."""
+    _, n, base = REBASED[name]
+    x, y = (base + 3) % n, (base + n // 2) % n
+    net = ["--network", str(doc)]
+    return {
+        "green": ["network", "green", *net],
+        "resistance": ["network", "resistance", *net],
+        "resistance-base-x": ["network", "resistance", *net, "--x", str(base), "--y", str(x)],
+        "resistance-x-y": ["network", "resistance", *net, "--x", str(x), "--y", str(y)],
+        "delta-norm": ["network", "delta-norm", *net, "--x", str(x)],
+        "gff-sample": ["gff", "sample", *net, "--n", "50", "--seed", "7"],
+        "gff-check": ["gff", "check", *net, "--n", "200", "--seed", "11"],
+        "kernel-gram": ["kernel", "gram", "--input", str(kernel_doc)],
+    }
+
+
+# sha256 of each command's output bytes, per rebased network
+REBASED_CSV_SHA256 = {
+    "chords-12": {
+        "green": "548233094e9bfcc3d34778f6be5f17824183b80c497599faa36d58b1c0c1cb7c",
+        "resistance": "bf71592581feb27945e976302aebebf223667a7b9f0feec1f3ea9cb4342ab56d",
+        "resistance-base-x": "3781c842054fd05da710cd8b4a78501421016de6ea4b72f4c0e697431af40b11",
+        "resistance-x-y": "0728f026e034152e0c3f216b1e86cea31db805196876aaf8110330b54c78686d",
+        "delta-norm": "0e51aae606ff4c154c1afd5c30dbfa63e0e36110f6c49f891cb9b5de44b61ce8",
+        "gff-sample": "d5cd2369349a829a8cabb24bb86a93a963c39c6127593647e042201ed1eac2dc",
+        "gff-check": "b7a2eb579a5c8d5b6a117b0f54faccb9edd53f8135715236eb952066bca660ef",
+        "kernel-gram": "07b1c6e4d40cabdb329ed7d4098e1654aa46d1b48a352a6a1ee40c1c4de88454",
+    },
+    "chords-25": {
+        "green": "052c7c5a4bb6b41680344dc50855c091c43e7f8f5c6865b4a5e76f2240913a77",
+        "resistance": "ce2878eef7695497635776a8b1b2099b25bec6223eb0dcdff25dc7509d548057",
+        "resistance-base-x": "4fde91280d7176c7ea64e1f2282b1d8ad84fc1ae3ed301d2cd328b06485c5fbe",
+        "resistance-x-y": "5176f5d9b14ca3f400cd8873e20c02e5e6ae5e6fede3225ec9bf7da0594ef829",
+        "delta-norm": "b04b2f2f4b4f273479790223187aa801fd68e856e0b44b24d1d6413b4221d703",
+        "gff-sample": "9c0c5ab0d15d9bc8b07b451e7494e66956ee31a6ca245879392c00d3629ca55e",
+        "gff-check": "9bc9b3fbdf141caa63941edbde8ff4f9e3d12f9ee96c8f5e31902f8d3c9955b1",
+        "kernel-gram": "30ff5ea0fdec2d822bb89756db752b48de96afe8fb6f8161407bff21d308edfd",
+    },
+    "chords-40": {
+        "green": "890a7b79f67a04ac46d1b6a01b06a73744c0cbaf604ea36025c8f9140ffb0c35",
+        "resistance": "abdd8e8ac36a9f8b9eda53fb869691efb4f40b6d1a4ef15583ea9a7c218b58a6",
+        "resistance-base-x": "02033f5a85b48141e20dd1927c72dbdd4d2936178bf16122fdd4f05686cacae7",
+        "resistance-x-y": "e7d0f5cd684fb49aec7439396b1c6f779e266e38ac4169d70c241de13034aa33",
+        "delta-norm": "c4c7bbe51547c77151b4ed3807e3fb7a4cc1b60787639a63f30f619aa5339f37",
+        "gff-sample": "f4d72f6ed435d66f39221ba2d97e254470b877f80000a3f41a39e9e89f15edf1",
+        "gff-check": "911f79067936a92bc48463fe69a7b5e8151483f9da4c5696ef6dc6d68b7eb170",
+        "kernel-gram": "f350c2e6194db4a846676b55588b5da785184fc68a9b8c1402c80fc1219afb9c",
+    },
+}
+
+
+def rebased_outputs(name, tmp_path):
+    net = rebased_network(name)
+    doc = tmp_path / f"{name}.json"
+    doc.write_text(json.dumps(net.to_json()))
+    # every non-base vertex, in a seeded order
+    order = np.random.default_rng(REBASED[name][0]).permutation(len(net))
+    points = [int(v) for v in order if v != net.base]
+    kernel_doc = tmp_path / f"{name}-kernel.json"
+    kernel_doc.write_text(json.dumps({"kernel": {"type": "network", "network": net.to_json()}, "points": points}))
+    digests = {}
+    for cmd, argv in rebased_commands(name, doc, kernel_doc).items():
+        out = tmp_path / f"{name}-{cmd}.out"
+        assert cli.main([*argv, "--out", str(out)]) == 0, cmd
+        digests[cmd] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(REBASED))
+def test_rebased_network_outputs_match_golden_hash(name, tmp_path):
+    assert rebased_outputs(name, tmp_path) == REBASED_CSV_SHA256[name]
+
+
+def triangle_triples():
+    """200 seeded (network, x, y, z): every fifth triple puts the base in one
+    slot, and every seventh repeats x as y."""
+    rng = np.random.default_rng(2704)
+    nets = [rebased_network(name) for name in sorted(REBASED)]
+    for k in range(200):
+        net = nets[k % 3]
+        t = [int(v) for v in rng.integers(0, len(net), size=3)]
+        if k % 5 == 0:
+            t[k % 3] = net.base
+        if k % 7 == 0:
+            t[1] = t[0]
+        yield net, *t
+
+
+# sha256 of repr() of [(holds, margin), ...] over triangle_triples()
+TRIANGLE_SHA256 = "1bad8eb974b4863e06dc4aee301291ed3a2a910ae07c925108988b1b3bf16c95"
+
+
+def test_covariance_triangle_checks_match_golden_hash():
+    checks = [(c.holds, c.margin) for c in (covariance_triangle_check(*t) for t in triangle_triples())]
+    assert all(holds for holds, _ in checks)
+    assert hashlib.sha256(repr(checks).encode()).hexdigest() == TRIANGLE_SHA256
+
+
+# ``network green`` and ``network resistance`` bytes, and the triangle check,
+# on a network whose only vertex is its base
+SINGLE_VERTEX_CSV = {"green": "\r\n", "resistance": "5\r\n0\r\n"}
+
+
+@pytest.mark.parametrize("cmd", sorted(SINGLE_VERTEX_CSV))
+def test_single_vertex_network_matches_golden(cmd, tmp_path):
+    doc = tmp_path / "one.json"
+    doc.write_text(json.dumps({"vertices": [5], "base": 5, "edges": []}))
+    out = tmp_path / f"{cmd}.csv"
+    assert cli.main(["network", cmd, "--network", str(doc), "--out", str(out)]) == 0
+    assert out.read_bytes() == SINGLE_VERTEX_CSV[cmd].encode()
+    check = covariance_triangle_check(Network([5], 5, []), 5, 5, 5)
+    assert (check.holds, repr(check.margin)) == (True, "0.0")
 
 
 # -- sampler ----------------------------------------------------------------
