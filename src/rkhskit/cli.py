@@ -196,8 +196,7 @@ def _cmd_network(args) -> int:
             return EXIT_OK
         # R_xy = G_xx + G_yy - 2 G_xy with G zero on the base's row and
         # column; summed in pairs so R is exactly symmetric, zero on the diagonal
-        base = net.index(net.base)
-        green = np.insert(np.insert(net.green_matrix(), base, 0.0, axis=0), base, 0.0, axis=1)
+        green = net.grounded_solve(np.eye(len(net)))
         diag = np.diag(green)
         matrix = (diag[:, None] + diag[None, :]) - (green + green.T)
         with _output(args.out) as out:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import GramMatrix, NotPSD, PointSet, _one_blas_thread, _unpermuted_factor
 from .errors import MissingNeighbor, NotPositiveSemidefinite
-from .network import GreenKernel, Network, resistance
+from .network import Network, _green_block
 
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -163,20 +163,13 @@ class TriangleCheck:
 
 def covariance_triangle_check(net: Network, x, y, z) -> TriangleCheck:
     """Deterministic covariance inequality
-    k(x,z) + k(z,y) <= k(x,y) + R(o,z), checked on exact kernel values.
+    k(x,z) + k(z,y) <= k(x,y) + R(o,z), checked on the solver's kernel values.
 
     This is the resistance-metric triangle inequality in disguise, so the
-    margin is nonnegative up to solver rounding.  The base vertex enters with
-    k(base, .) = 0, matching the pinned field.
+    margin is nonnegative up to solver rounding.  R(o,z) is k(z,z), and the
+    base vertex enters with k(base, .) = 0, matching the pinned field.
     """
-    grounded = [a for a in (x, y, z) if a != net.base]
-    g = GreenKernel(net).gram(grounded)
-
-    def kval(a, b):
-        if a == net.base or b == net.base:
-            return 0.0
-        return float(g[grounded.index(a), grounded.index(b)])
-
-    margin = kval(x, y) + resistance(net, net.base, z) - kval(x, z) - kval(z, y)
-    scale = 1.0 + abs(kval(x, y)) + abs(resistance(net, net.base, z))
-    return TriangleCheck(holds=margin >= -1e-9 * scale, margin=float(margin))
+    k = _green_block(net, [net.index(a) for a in (x, y, z)])
+    margin = k[0, 1] + k[2, 2] - k[0, 2] - k[2, 1]
+    scale = 1.0 + abs(k[0, 1]) + abs(k[2, 2])
+    return TriangleCheck(holds=bool(margin >= -1e-9 * scale), margin=float(margin))

@@ -30,12 +30,14 @@ class Network:
     network reports its first offending edge in input order.  A network
     holds its edge arrays ``_ends`` (E x 2 vertex indices) and ``_cond`` in
     input order, the per-vertex totals ``_total`` (each c(x) summed as the
-    Laplacian's diagonal entry) and, built once under a lock, the grounded
-    Laplacian's one sparse factor; Green values (one solve per requested
-    column, nothing dense cached) are read from those, and neighbours from
-    an index of the edge arrays built on first use.
+    Laplacian's diagonal entry) and, built once under a lock, one sparse
+    factor of the Laplacian over all of V with the base's row and column
+    replaced by the identity's, so solves run in vertex coordinates with the
+    base's potential pinned to 0.  Green values (one solve per requested
+    column, nothing dense cached) are read from that factor, and neighbours
+    from an index of the edge arrays built on first use.
     Instances are immutable after construction and safe to share across
-    threads.  The grounded Laplacian is symmetric positive definite, so
+    threads.  The pinned Laplacian is symmetric positive definite, so
     SuperLU factors it in symmetric mode: a minimum-degree ordering of
     A + Aᵀ and diagonal pivots, one permutation P with Pᵀ A P = L U.
     """
@@ -89,7 +91,7 @@ class Network:
         self._grounded_points = None  # V \ {base} as a PointSet, built on first use
         self._adjacency = None      # (ptr, neighbour, conductance) by vertex, built on first use
         self._lock = threading.Lock()
-        self._grounded = None       # cached symmetric-mode SuperLU factor of the grounded Laplacian
+        self._grounded = None       # cached symmetric-mode SuperLU factor of the base-pinned Laplacian
 
     def _validate(self):
         """Raise for the first edge in input order that is a self-loop, names
@@ -191,15 +193,16 @@ class Network:
                 if ground is None:
                     import scipy.sparse.linalg
 
-                    n, b = len(self.vertices) - 1, self._base_index
+                    n, b = len(self.vertices), self._base_index
                     u, v = self._ends.T
-                    # the Laplacian off the base's row and column, in grounded
-                    # indices; the diagonal is the per-vertex totals, so the
-                    # sparse conversion has no duplicates to sum in an order
-                    # of its own
-                    diag = np.delete(self._total, b)
+                    # the Laplacian with the base's row and column replaced by
+                    # the identity; the diagonal is the per-vertex totals, so
+                    # the sparse conversion has no duplicates to sum in an
+                    # order of its own
+                    diag = self._total.copy()
+                    diag[b] = 1.0
                     off = (u != b) & (v != b)
-                    u, v, c = u[off] - (u[off] > b), v[off] - (v[off] > b), self._cond[off]
+                    u, v, c = u[off], v[off], self._cond[off]
                     rows, cols = np.concatenate([np.arange(n), u, v]), np.concatenate([np.arange(n), v, u])
                     lap = scipy.sparse.csc_matrix((np.concatenate([diag, -c, -c]), (rows, cols)), shape=(n, n))
                     # SPD: minimum degree on A + Aᵀ and diagonal pivots give Pᵀ A P = L U
@@ -212,8 +215,11 @@ class Network:
         return ground
 
     def grounded_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the base-deleted Laplacian system for one or more columns."""
-        return self._grounded_system().solve(rhs)
+        """Potentials, 0 at the base, of vertex-indexed currents of shape (n,)
+        or (n, k): the base's own current goes to ground."""
+        volts = self._grounded_system().solve(rhs)
+        volts[self._base_index] = 0.0
+        return volts
 
     def green_matrix(self) -> np.ndarray:
         """Inverse of the grounded Laplacian: entries k(x, y) over V \\ {base},
@@ -316,16 +322,16 @@ def dipole(net: Network, x) -> Dipole:
     """Solve the grounded Laplacian system for the pole x."""
     if x == net.base:
         raise ValueError("the base vertex has the zero dipole by convention")
-    i, b = net.index(x), net._base_index
+    i = net.index(x)
     source = np.zeros(len(net.vertices))
     source[i] = 1.0
-    values = np.insert(net.grounded_solve(np.delete(source, b)), b, 0.0)
+    values = net.grounded_solve(source)
     # contract: applying the Laplacian returns the dipole source pattern
     resid = laplacian_apply(net, values)
     resid[i] -= 1.0
-    resid[b] += 1.0
+    resid[net._base_index] += 1.0
     if float(np.abs(resid).max()) > DIPOLE_RTOL * net.total_conductance(x):
-        values += np.insert(net.grounded_solve(-np.delete(resid, b)), b, 0.0)
+        values += net.grounded_solve(-resid)
     return Dipole(pole=x, values=values)
 
 
@@ -349,12 +355,19 @@ class GreenKernel(Kernel):
     def gram(self, labels) -> np.ndarray:
         """k over the labels: one grounded solve per label, symmetrized; the
         energy inner product is symmetric, so the averaging only removes
-        solver rounding."""
-        idx = [self.points.index(x) for x in labels]
-        rhs = np.zeros((len(self.points), len(idx)))
-        rhs[idx, np.arange(len(idx))] = 1.0
-        g = self.network.grounded_solve(rhs)[idx]
-        return 0.5 * (g + g.T)
+        solver rounding.  The base and unknown labels raise ``ValueError``."""
+        net = self.network
+        idx = [net.index(x) if x in self.points else self.points.index(x) for x in labels]
+        return _green_block(net, idx)
+
+
+def _green_block(net: Network, idx) -> np.ndarray:
+    """k over vertex indices, 0 on the base's rows and columns: one grounded
+    solve per index, symmetrized."""
+    rhs = np.zeros((len(net.vertices), len(idx)))
+    rhs[idx, np.arange(len(idx))] = 1.0
+    g = net.grounded_solve(rhs)[idx]
+    return 0.5 * (g + g.T)
 
 
 def green_kernel(net: Network) -> GreenKernel:
@@ -394,12 +407,12 @@ def resistance(net: Network, x, y) -> float:
     """
     if x not in net.vertices or y not in net.vertices:
         raise ValueError("both endpoints must be vertices")
-    i, j, b = net.index(x), net.index(y), net._base_index
+    i, j = net.index(x), net.index(y)
     if i == j:
         return 0.0
     source = np.zeros(len(net.vertices))
     source[i], source[j] = 1.0, -1.0
-    volts = np.insert(net.grounded_solve(np.delete(source, b)), b, 0.0)
+    volts = net.grounded_solve(source)
     return float(volts[i] - volts[j])
 
 

@@ -48,8 +48,9 @@ class TestDeterminism:
         assert not np.array_equal(a.samples, b.samples)
 
     def test_prefix_property_of_row_streams(self, path_gram):
-        # draw i is a pure function of (seed, i): a longer run starts with the
-        # shorter one
+        # on this 2-point Gram the 100-draw run equals the first 100 of 300
+        # draws bit for bit; in general only the normals are prefix-stable
+        # (test_longer_run_starts_with_shorter_within_rounding)
         a = sample(path_gram, 100, 3)
         b = sample(path_gram, 300, 3)
         assert np.array_equal(b.samples[:100], a.samples)

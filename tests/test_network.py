@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from _graphs import random_connected_network, random_tree_network, resistance_matrix
+from _graphs import random_connected_network, random_grid_network, random_tree_network, resistance_matrix
 from rkhskit import (
     BridgeKernel,
     BrownianKernel,
@@ -207,7 +207,7 @@ class TestGreenKernel:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: _grid(np.random.default_rng(67), 5), lambda: build_tree(8, LevelWeights.geometric(0.5))]
+        [lambda: random_grid_network(np.random.default_rng(67), 5), lambda: build_tree(8, LevelWeights.geometric(0.5))]
         + [lambda seed=seed: random_connected_network(np.random.default_rng(seed), 25) for seed in (11, 12, 13)],
         ids=["grid-5x5", "tree-8", "random-11", "random-12", "random-13"],
     )
@@ -438,8 +438,10 @@ class TestGroundedAssembly:
         )
         diagonals = {}
         for base in (0, 17, 39):
-            Network(range(n), base, edges).grounded_solve(np.ones(n - 1))
-            diagonals[base] = np.insert(factored[-1].diagonal(), base, np.nan)
+            Network(range(n), base, edges).grounded_solve(np.ones(n))
+            diagonals[base] = factored[-1].diagonal()
+            # the base's row and column are the identity's
+            assert diagonals[base][base] == 1.0
         # the grounded Laplacian is SPD: every factor is asked for symmetric mode
         symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         assert options == [symmetric] * 3
@@ -465,18 +467,6 @@ def _dense_grounded_laplacian(net):
     return np.delete(np.delete(lap, b, axis=0), b, axis=1)
 
 
-def _grid(rng, side):
-    edges = []
-    for i in range(side):
-        for j in range(side):
-            v = side * i + j
-            if j < side - 1:
-                edges.append((v, v + 1, float(rng.uniform(0.25, 4.0))))
-            if i < side - 1:
-                edges.append((v, v + side, float(rng.uniform(0.25, 4.0))))
-    return Network(list(range(side * side)), 0, edges)
-
-
 def _masked_neighbors(net, x):
     """Neighbours of x by masking every edge, in edge order."""
     i = net.index(x)
@@ -492,7 +482,7 @@ class TestNeighbourIndex:
         "make",
         [lambda seed=seed: random_connected_network(np.random.default_rng(seed), 12) for seed in (5, 6, 7)]
         + [lambda seed=seed: random_tree_network(np.random.default_rng(seed), 12) for seed in (8, 9)]
-        + [lambda: _grid(np.random.default_rng(68), 6), lambda: build_tree(6, LevelWeights.geometric(0.5))],
+        + [lambda: random_grid_network(np.random.default_rng(68), 6), lambda: build_tree(6, LevelWeights.geometric(0.5))],
         ids=["random-5", "random-6", "random-7", "tree-8", "tree-9", "grid-6x6", "tree-6"],
     )
     def test_neighbors_match_edge_mask_in_order_and_bits(self, make):
@@ -503,7 +493,7 @@ class TestNeighbourIndex:
             assert np.array([c for _, c in got]).tobytes() == np.array([c for _, c in want]).tobytes()
 
     def test_index_is_built_on_first_read(self):
-        net = _grid(np.random.default_rng(69), 3)
+        net = random_grid_network(np.random.default_rng(69), 3)
         assert net._adjacency is None
         net.neighbors(4)
         assert net._adjacency is not None
@@ -513,7 +503,7 @@ class TestSymmetricFactor:
     @pytest.mark.parametrize(
         "make",
         [lambda seed=seed: random_connected_network(np.random.default_rng(seed), 30) for seed in (1, 2, 3, 4)]
-        + [lambda: _grid(np.random.default_rng(66), 6),
+        + [lambda: random_grid_network(np.random.default_rng(66), 6),
            lambda: build_tree(7, LevelWeights.geometric(0.5)),
            lambda: build_tree(7, LevelWeights.constant(1.0))],
         ids=["random-1", "random-2", "random-3", "random-4", "grid-6x6", "tree-7-geometric", "tree-7-constant"],
@@ -573,9 +563,9 @@ class TestConcurrency:
         rng = np.random.default_rng(22)
         serial_net = random_connected_network(rng, 200, extra_edges=150)
         shared = Network.from_json(serial_net.to_json())
-        m = len(serial_net) - 1
-        blocks = [rng.normal(size=(m, 3)) for _ in range(4)]
-        cols = [rng.normal(size=m) for _ in range(4)]
+        n = len(serial_net)
+        blocks = [rng.normal(size=(n, 3)) for _ in range(4)]
+        cols = [rng.normal(size=n) for _ in range(4)]
         expected = [
             (serial_net.grounded_solve(b), serial_net.grounded_solve(c)) for b, c in zip(blocks, cols)
         ]

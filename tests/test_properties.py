@@ -1,18 +1,22 @@
-"""Property-based invariants: monotonicity, biorthogonality, metric axioms."""
+"""Property-based invariants: monotonicity, biorthogonality, metric axioms,
+Foster's theorem."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _graphs import random_connected_network, resistance_matrix
+from _graphs import random_connected_network, random_grid_network, resistance_matrix
 from rkhskit import (
     BrownianKernel,
     Filtration,
+    LevelWeights,
     TableKernel,
     assemble_gram,
+    build_tree,
     dual_basis,
     energy_inner,
     projection_norm_sq,
+    resistance,
     solve_delta,
     trace,
 )
@@ -128,3 +132,27 @@ def test_lipschitz_bound_random_functions(seed, n):
     energy = energy_inner(net, f, f)
     diff2 = (f[:, None] - f[None, :]) ** 2
     assert (diff2 <= energy * r + 1e-9 * (1 + energy)).all()
+
+
+def foster_defect(net):
+    """|sum over edges of c_e R(e) - (|V| - 1)| relative to |V| - 1."""
+    total = sum(c * resistance(net, u, v) for u, v, c in net.edges)
+    return abs(total - (len(net) - 1)) / (len(net) - 1)
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=2, max_value=80))
+def test_foster_theorem_on_random_networks(seed, n):
+    assert foster_defect(random_connected_network(np.random.default_rng(seed), n)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_grid_network(np.random.default_rng(9), 9),
+     lambda: random_grid_network(np.random.default_rng(30), 30),
+     lambda: build_tree(9, LevelWeights.geometric(0.5)),
+     lambda: build_tree(9, LevelWeights.constant(2.0))],
+    ids=["grid-9x9", "grid-30x30", "tree-9-geometric", "tree-9-constant"],
+)
+def test_foster_theorem_on_grids_and_trees(make):
+    assert foster_defect(make()) <= 1e-12
