@@ -29,17 +29,15 @@ def random_tree_network(rng, n, conductance_range=(0.5, 2.0)):
     return random_connected_network(rng, n, extra_edges=0, conductance_range=conductance_range)
 
 
-def random_grid_network(rng, side, conductance_range=(0.25, 4.0)):
-    """side x side grid on 0..side^2-1 (row-major, base 0)."""
-    lo, hi = conductance_range
+def random_grid_network(rng, side):
     edges = []
     for i in range(side):
         for j in range(side):
             v = side * i + j
             if j < side - 1:
-                edges.append((v, v + 1, float(rng.uniform(lo, hi))))
+                edges.append((v, v + 1, float(rng.uniform(0.25, 4.0))))
             if i < side - 1:
-                edges.append((v, v + side, float(rng.uniform(lo, hi))))
+                edges.append((v, v + side, float(rng.uniform(0.25, 4.0))))
     return Network(list(range(side * side)), 0, edges)
 
 

@@ -10,6 +10,7 @@ from rkhskit import (
     BrownianKernel,
     Filtration,
     LevelWeights,
+    Network,
     TableKernel,
     assemble_gram,
     build_tree,
@@ -141,9 +142,14 @@ def foster_defect(net):
 
 
 @SETTINGS
-@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=2, max_value=80))
-def test_foster_theorem_on_random_networks(seed, n):
-    assert foster_defect(random_connected_network(np.random.default_rng(seed), n)) <= 1e-12
+@given(
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=2, max_value=80),
+    st.integers(min_value=0, max_value=79),
+)
+def test_foster_theorem_on_random_networks(seed, n, base):
+    net = random_connected_network(np.random.default_rng(seed), n)
+    assert foster_defect(Network(net.vertices.labels, base % n, net.edges)) <= 1e-12
 
 
 @pytest.mark.parametrize(
