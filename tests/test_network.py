@@ -64,6 +64,30 @@ class TestConstruction:
         with pytest.raises(ValueError, match="could not convert"):
             Network([0, 1, 2], 0, [(0, 1, "x"), (1, 0, 1.0)])
 
+    def test_every_edge_unpacks_before_any_is_checked(self):
+        with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 3"):
+            Network([0, 1, 2], 0, [(0, 1, "x"), (0, 2, 1.0, 0)])
+
+    def test_unknown_endpoint_is_reported_before_an_unhashable_one(self):
+        with pytest.raises(ValueError, match="references an unknown vertex"):
+            Network([0, 1], 0, [("nowhere", {"a": 1}, 1.0)])
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            Network([0, 1], 0, [({"a": 1}, 0, 1.0)])
+
+    def test_unequal_labels_naming_one_vertex_are_a_self_loop(self):
+        # JSON reads every NaN as one float object: the labels are unequal,
+        # but both name the vertex NaN; the conductance is checked first
+        nan = float("nan")
+        with pytest.raises(ValueError, match="must be positive"):
+            Network([nan, 1], 1, [(nan, 1, 1.0), (nan, nan, -1.0)])
+        with pytest.raises(ValueError, match="^self-loop at nan is not allowed$"):
+            Network([nan, 1], 1, [(nan, 1, 1.0), (nan, nan, 1.0)])
+
+    def test_edges_from_a_generator_match_a_list(self):
+        edges = [(0, 1, 1.0), (1, 2, "2.5"), (0, 2, 4)]
+        net = Network([0, 1, 2], 0, (e for e in edges))
+        assert net.edges == Network([0, 1, 2], 0, edges).edges == ((0, 1, 1.0), (1, 2, 2.5), (0, 2, 4.0))
+
     def test_rejects_unknown_vertex(self):
         with pytest.raises(ValueError, match="unknown"):
             Network([0, 1], 0, [(0, 2, 1.0)])
