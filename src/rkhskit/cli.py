@@ -21,7 +21,6 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import gff
-from .builtin import binomial_eval
 from .core import PointSet, assemble_gram, check_domain
 from .diagnostics import ClassifyPolicy, Filtration, classify, trace
 from .errors import MonotonicityViolation, RKHSKitError
@@ -122,10 +121,8 @@ def _cmd_kernel_eval(args) -> int:
     kernel, _ = load_kernel_doc(_load_json(args.input))
     x, y = json.loads(args.x), json.loads(args.y)
     check_domain(kernel, [x, y])
-    if kernel.name == "binomial":
-        print(binomial_eval(int(x), int(y)))
-    else:
-        print(fmt(kernel(x, y)))
+    exact = kernel.exact_gram([x, y])
+    print(exact[0][1] if exact is not None else fmt(kernel(x, y)))
     return EXIT_OK
 
 

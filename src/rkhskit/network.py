@@ -26,8 +26,12 @@ class Network:
     """Connected weighted graph (V, E, c) with base vertex ``base``.
 
     Edges are undirected, stored once, with finite, strictly positive
-    conductances; self-loops and duplicates are rejected, and an invalid
-    network reports its first offending edge in input order.  A network
+    conductances.  The constructor, the one entry for outside input (library
+    calls and :meth:`from_json`), checks each edge once, in input order, as it
+    reads it: a self-loop, an unknown endpoint, a conductance that is not
+    finite and positive, or a repeat raises for the first offending edge, and
+    one connected-components pass follows.  Trees the package builds are
+    valid and connected by construction and skip both.  A network
     holds its edge arrays ``_ends`` (E x 2 vertex indices) and ``_cond`` in
     input order, the per-vertex totals ``_total`` (each c(x) summed as the
     Laplacian's diagonal entry) and, built once under a lock, one sparse
@@ -47,31 +51,45 @@ class Network:
         base = _canon_label(base)
         if base not in pts:
             raise ValueError(f"base vertex {base!r} is not a vertex")
-        find = pts._index.get
-
-        def lookup(label):  # -1 for an unknown or unhashable label
-            try:
-                return find(label, -1)
-            except TypeError:
-                return -1
-
-        triples, ends, cond = [], [], []
-        for u, v, c in edges:
+        triples = []
+        for u, v, c in edges:  # every edge unpacks before any is checked
             u, v = _canon_label(u), _canon_label(v)
             try:
                 c = float(c)
-                cond.append(c)
             except (TypeError, ValueError):
-                cond.append(np.nan)  # the edge keeps c; _edge_error reports it
+                pass  # raised again below, when this edge is checked
             triples.append((u, v, c))
-            ends.append((lookup(u), lookup(v)))
+        find, seen, ends, cond = pts._index.get, set(), [], []
+        for u, v, c in triples:
+            if u == v:
+                raise ValueError(f"self-loop at {u!r} is not allowed")
+            i = find(u)
+            j = None if i is None else find(v)  # an unknown u is reported before an unhashable v
+            if j is None:
+                raise ValueError(f"edge ({u!r}, {v!r}) references an unknown vertex")
+            c = float(c)
+            if not c > 0:
+                raise ValueError(f"conductance on edge ({u!r}, {v!r}) must be positive, got {c}")
+            if c == np.inf:
+                raise ValueError(f"conductance on edge ({u!r}, {v!r}) must be finite, got {c}")
+            if i == j:  # unequal labels naming one vertex, such as one NaN object
+                raise ValueError(f"self-loop at {u!r} is not allowed")
+            key = (i, j) if i < j else (j, i)
+            if key in seen:
+                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+            seen.add(key)
+            ends += (i, j)
+            cond.append(c)
         self._setup(pts, base, np.array(ends, dtype=np.intp).reshape(-1, 2),
                     np.array(cond, dtype=float), tuple(triples))
+        self._check_connected()
 
     @classmethod
     def _from_arrays(cls, vertices: PointSet, base_index: int, ends, cond) -> "Network":
         """Network over canonical labels with edges given as endpoint index
-        pairs and conductances; ``edges`` is spelled from the labels."""
+        pairs and conductances; ``edges`` is spelled from the labels.  The
+        arrays are trusted: the package builds them valid and connected, so
+        neither the edge checks nor the connectivity pass runs."""
         net = object.__new__(cls)
         net._setup(vertices, vertices.labels[base_index], ends, cond, None)
         return net
@@ -80,38 +98,16 @@ class Network:
         self.vertices = pts
         self.base = base
         self._base_index = pts.index(base)
-        self._ends = ends           # endpoint indices, one row per edge, -1 unknown
-        self._cond = cond           # conductances in edge order, nan unconvertible
+        self._ends = ends           # endpoint indices, one row per edge
+        self._cond = cond           # conductances in edge order
         self._edges = edges
-        self._validate()
         # c(x), the Laplacian's diagonal: each vertex's edges as first
         # endpoint, then as second, in edge order
         self._total = np.bincount(ends.T.ravel(), np.tile(cond, 2), len(pts))
-        self._check_connected()
         self._grounded_points = None  # V \ {base} as a PointSet, built on first use
         self._adjacency = None      # (ptr, neighbour, conductance) by vertex, built on first use
         self._lock = threading.Lock()
         self._grounded = None       # cached symmetric-mode SuperLU factor of the base-pinned Laplacian
-
-    def _validate(self):
-        """Raise for the first edge in input order that is a self-loop, names
-        an unknown vertex, has a conductance that is not finite and positive,
-        or repeats an earlier edge, checked per edge in that order."""
-        u, v = self._ends.T
-        c = self._cond
-        count = len(c)
-        first_bad = _first((u == v) | (u < 0) | (v < 0) | ~((c > 0) & (c < np.inf)))
-        # edges whose unordered endpoint pair occurred earlier; an unknown
-        # endpoint's -1 keeps those keys apart from every valid one
-        keys = np.minimum(u, v) * len(self.vertices) + np.maximum(u, v)
-        repeat = np.ones(count, dtype=bool)
-        repeat[np.unique(keys, return_index=True)[1]] = False
-        first_repeat = _first(repeat)
-        if first_repeat < first_bad:
-            x, y, _ = self.edges[first_repeat]
-            raise ValueError(f"duplicate edge ({x!r}, {y!r})")
-        if first_bad < count:
-            raise _edge_error(self.vertices, *self.edges[first_bad])
 
     def _check_connected(self):
         import scipy.sparse
@@ -263,26 +259,6 @@ class Network:
         return f"Network(n={len(self.vertices)}, edges={len(self._cond)}, base={self.base!r})"
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True entry, or the length when there is none."""
-    return int(np.argmax(mask)) if mask.any() else len(mask)
-
-
-def _edge_error(pts: PointSet, u, v, c) -> Exception:
-    """The error for an edge the array checks flagged: the first of the
-    self-loop, unknown-vertex and conductance checks that it fails."""
-    if u == v:
-        return ValueError(f"self-loop at {u!r} is not allowed")
-    if u not in pts or v not in pts:
-        return ValueError(f"edge ({u!r}, {v!r}) references an unknown vertex")
-    c = float(c)
-    if not c > 0:
-        return ValueError(f"conductance on edge ({u!r}, {v!r}) must be positive, got {c}")
-    if c == np.inf:
-        return ValueError(f"conductance on edge ({u!r}, {v!r}) must be finite, got {c}")
-    return ValueError(f"self-loop at {u!r} is not allowed")  # both ends name one vertex
-
-
 def laplacian_apply(net: Network, values) -> np.ndarray:
     """(Delta f)(x) = sum_y c_xy (f(x) - f(y)), for f given in vertex order."""
     f = np.asarray(values, dtype=float)
@@ -356,9 +332,10 @@ class GreenKernel(Kernel):
         """k over the labels: one grounded solve per label, symmetrized; the
         energy inner product is symmetric, so the averaging only removes
         solver rounding.  The base and unknown labels raise ``ValueError``."""
-        net = self.network
-        idx = [net.index(x) if x in self.points else self.points.index(x) for x in labels]
-        return _green_block(net, idx)
+        b = self.network._base_index
+        # V \ {base} keeps the vertex order: past the base, vertex index = index + 1
+        idx = [i + (i >= b) for i in map(self.points.index, labels)]
+        return _green_block(self.network, idx)
 
 
 def _green_block(net: Network, idx) -> np.ndarray:

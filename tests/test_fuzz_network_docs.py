@@ -3,8 +3,10 @@
 Every generated document ends in exit 0-3 without a traceback on
 ``network green|resistance|delta-norm`` and ``gff sample``.  For an invalid
 document the ``error:`` line equals the one produced by ``reference_error``,
-a copy of the per-edge validation loop that ``Network`` ran before networks
-were validated as index arrays (plus the rule that conductances are finite).
+an independent per-edge validation loop over labels.  ``Network`` also checks
+each edge once as it reads it, in input order, so the two must agree on which
+edge fails first and why; trees the package builds skip the checks and are
+not generated here.
 """
 
 import contextlib

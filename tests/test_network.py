@@ -14,6 +14,7 @@ from rkhskit import (
     Network,
     StrictlyPD,
     assemble_gram,
+    boundary_resistance,
     build_tree,
     check_pd,
     delta_expand,
@@ -100,6 +101,20 @@ class TestConstruction:
         doc = path_oab.to_json()
         again = Network.from_json(doc)
         assert again.to_json() == doc
+
+    def test_connectivity_pass_runs_per_document_and_never_on_built_trees(self, monkeypatch):
+        import scipy.sparse.csgraph
+
+        calls = []
+        real = scipy.sparse.csgraph.connected_components
+        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        weights = LevelWeights.geometric(0.5)
+        tree = build_tree(4, weights)
+        boundary_resistance((0, 1, 1, 0), (1, 0, 0, 1), weights)
+        assert len(calls) == 0
+        Network.from_json(tree.to_json())
+        assert len(calls) == 1
 
     def test_coordinate_path_conductances(self):
         net = Network.coordinate_path([1.0, 2.0, 4.0])
