@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     except MonotonicityViolation as err:
         print(f"numerical breakdown: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (RKHSKitError, ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as err:
+    except (RKHSKitError, ValueError, TypeError, OverflowError, OSError, json.JSONDecodeError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -147,6 +147,8 @@ class TableKernel(Kernel):
         m = np.asarray(entries, dtype=float)
         if m.shape != (len(self.points), len(self.points)):
             raise ValueError("table shape does not match the label count")
+        if not np.isfinite(m).all():
+            raise ValueError("kernel table entries must be finite")
         if not np.array_equal(m, m.T):
             raise ValueError("kernel table must be symmetric")
         m = m.copy()
@@ -290,13 +292,14 @@ def _pivoted_cholesky(matrix: np.ndarray) -> _Factor:
     if n == 0:
         return _Factor(perm=np.arange(0), upper=np.zeros((0, 0)), status=StrictlyPD(logdet=0.0))
     tau = PIVOT_RTOL * max(float(np.diagonal(matrix).max()), 0.0)
-    off_tol = max(tau, PIVOT_RTOL * float(np.abs(matrix).max()))
     c, piv, rank, _ = dpstrf(matrix.T, tol=tau, lower=0)
     perm = piv - 1
     upper = np.triu(c[:rank])
     if rank == n:
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(upper))))
         return _Factor(perm=perm, upper=upper, status=StrictlyPD(logdet=logdet))
+    # only a matrix that is not PSD can hold an entry beyond its diagonal
+    off_tol = max(tau, PIVOT_RTOL * float(np.abs(matrix).max()))
     rest = perm[rank:]
     tail = matrix[np.ix_(rest, rest)] - upper[:, rank:].T @ upper[:, rank:]
     j = int(np.argmax(np.diagonal(tail)))
@@ -429,7 +432,7 @@ def solve_delta(gram: GramMatrix, target) -> CoefficientVector:
         raise NotPositiveSemidefinite(status.witness)
     if isinstance(status, StrictlyPD):
         zeta = _triangular_solve(fact, b)
-        bound = SOLVE_RTOL * (1.0 + float(np.abs(gram.matrix).max()))
+        bound = SOLVE_RTOL * (1.0 + float(np.diagonal(gram.matrix).max()))  # max|K| for PD K
         resid = b - gram.matrix @ zeta
         if float(np.abs(resid).max()) > bound:
             zeta = zeta + _triangular_solve(fact, resid)

@@ -169,35 +169,35 @@ def _leading_factor(matrix: np.ndarray):
     """One LAPACK Cholesky of ``matrix``, read as the factor of each of its
     leading blocks.
 
-    Returns the upper factor U (F-ordered, ``U^T U = K``) and how many leading
-    blocks it serves: those LAPACK factored whose pivots ``U_kk^2`` all exceed
-    PIVOT_RTOL times the block's largest diagonal entry.  A failure at pivot k
-    leaves the first k - 1 rows valid, so the blocks before it are still
-    served.
+    Returns ``(upper, served, scale, log_dets)``: the upper factor U
+    (F-ordered, ``U^T U = K``); how many leading blocks it serves, those
+    LAPACK factored whose pivots ``U_kk^2`` all exceed PIVOT_RTOL times the
+    block's largest diagonal entry; ``scale[k]``, that largest entry over the
+    first k + 1 points; and ``log_dets[k]``, the log-determinant of the first
+    k + 1 points for each served block.  A failure at pivot k leaves the
+    first k - 1 rows valid, so the blocks before it are still served.
     """
     from scipy.linalg.lapack import dpotrf
 
     upper, info = dpotrf(matrix.T, lower=0, clean=1)
     done = len(matrix) if info == 0 else max(info - 1, 0)
-    pivots = np.diagonal(upper)[:done] ** 2
+    diagonal = np.diagonal(upper)[:done]
     scale = np.maximum(np.maximum.accumulate(np.diagonal(matrix)[:done]), 0.0)
-    cleared = np.minimum.accumulate(pivots) > PIVOT_RTOL * scale
-    return upper, done if cleared.all() else int(np.argmin(cleared))
+    cleared = np.minimum.accumulate(diagonal ** 2) > PIVOT_RTOL * scale
+    served = done if cleared.all() else int(np.argmin(cleared))
+    return upper, served, scale, np.cumsum(2.0 * np.log(diagonal[:served]))
 
 
-def _log_dets(upper: np.ndarray, served: int) -> np.ndarray:
-    """``out[k]``: log-determinant of the first k + 1 points."""
-    return np.cumsum(2.0 * np.log(np.diagonal(upper)[:served]))
-
-
-def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, served: list) -> list:
+def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray, served: list) -> list:
     """Float projection norms of the target at the stages of ``served`` that
     the last stage's factor serves, up to the first that fails the check.
 
     The factor serves a stage of m points when it serves the m-block
     (:func:`_leading_factor`) and ``zeta_m = U_m^-1 c[:m]`` meets the solve
-    contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + max|K_m|)``, with
-    ``c = U^-T e_t``; its value is then ``sum_{k<m} c_k^2``.  Every stage is
+    contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + scale[m - 1])``,
+    with ``c = U^-T e_t``; its value is then ``sum_{k<m} c_k^2``.  For the
+    positive-definite blocks served, ``scale[m - 1]``, their largest
+    diagonal entry, is ``max|K_m|``.  Every stage is
     checked at once: column j of ``C`` is ``c`` with its entries from ``m_j``
     on cleared, and since ``U^-1`` is upper triangular, column j of
     ``Z = U^-1 C`` (one ``dtrsm``) is ``zeta_{m_j}`` padded with zeros, so one
@@ -212,20 +212,11 @@ def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, served: list) -> l
         return []
     served = np.array(served, dtype=np.intp)
     n = int(served[-1])
-    # column-major packed upper triangles: the first m(m+1)/2 entries
-    # pack the leading m-block; those of K^T are the rows of K's lower
-    # triangle, whose running maxima give max|K_m| for every m.  The
-    # values' last bits follow the packed solve for c, which the golden
-    # diagnose CSVs pin.
-    packed_u, packed_k = dtrttp(upper)[0], dtrttp(a.T)[0][: n * (n + 1) // 2]
     e_t = np.zeros(n)
     e_t[t] = 1.0
-    c = dtpsv(n, packed_u, e_t, trans=1)
-    rows = np.arange(n)
-    scale = np.maximum.accumulate(
-        np.maximum.reduceat(np.abs(packed_k, out=packed_k), rows * (rows + 1) // 2)
-    )
-    inside = rows < served[:, None]
+    # the packed solve's rounding is what the golden diagnose CSVs pin
+    c = dtpsv(n, dtrttp(upper)[0], e_t, trans=1)
+    inside = np.arange(n) < served[:, None]
     z = dtrsm(1.0, upper[:n, :n], (inside * c).T, overwrite_b=1)
     resid = dgemm(1.0, a.T[:n, :n], z)   # K is symmetric bit for bit
     resid[t] -= 1.0
@@ -268,14 +259,12 @@ def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     a = assemble_gram(kernel, points).matrix
     consistent = first == len(a) or np.array_equal(
         assemble_gram(kernel, points.prefix(first)).matrix, a[:first, :first])
-    upper, served = _leading_factor(a) if consistent else (None, 0)
-    values, ratios = [], []
-    if served:
-        full = _log_dets(upper, served)
-        values = _checked_values(a, t, upper, [m for m in sizes if m <= served])
-        del upper   # free U before the minor is factored
-        rest = np.concatenate([[0.0], _log_dets(*_leading_factor(_without(a, t)))])
-        ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in sizes if m <= min(served, len(rest))]
+    # an inconsistent kernel factors an empty block, so no stage is served
+    upper, served, scale, full = _leading_factor(a if consistent else a[:0, :0])
+    values = _checked_values(a, t, upper, scale, [m for m in sizes if m <= served])
+    del upper   # free U before the minor is factored
+    rest = np.concatenate([[0.0], _leading_factor(_without(a, t))[3]])
+    ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in sizes if m <= min(served, len(rest))]
     reason = None
     for i in range(min(len(values), len(ratios)), len(sizes)):
         value_due, ratio_due = len(values) == i, reason is None and len(ratios) == i

@@ -56,7 +56,7 @@ class Network:
             u, v = _canon_label(u), _canon_label(v)
             try:
                 c = float(c)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 pass  # raised again below, when this edge is checked
             triples.append((u, v, c))
         find, seen, ends, cond = pts._index.get, set(), [], []
@@ -237,6 +237,9 @@ class Network:
             vertices, base, edges = doc["vertices"], doc["base"], doc["edges"]
         except KeyError as err:
             raise ValueError(f"network document is missing field {err}") from None
+        for name, value in (("vertices", vertices), ("edges", edges)):
+            if not isinstance(value, (list, tuple)):  # a string would spell one vertex per character
+                raise ValueError(f"network document needs a '{name}' list")
         return cls(vertices, base, edges)
 
     @classmethod

@@ -13,12 +13,12 @@ from .builtin import (
     BinomialKernel,
     BridgeKernel,
     BrownianKernel,
+    PascalMatrix,
     binomial_partial_norm,
     bm_delta_norm_sq,
     bm_log_det,
     bridge_delta_norm_sq,
     bridge_log_det,
-    pascal_factorization,
 )
 from .core import assemble_gram, log_det, projection_norm_sq
 from .diagnostics import Diverging, Filtration, Stabilized, classify, trace
@@ -91,7 +91,7 @@ def reproduce_bridge() -> list[Check]:
 
 def reproduce_binomial() -> list[Check]:
     checks = []
-    lower, kmat = pascal_factorization(12)
+    lower, kmat = PascalMatrix(12), BinomialKernel().exact_gram(range(13))
     ok = all(
         kmat[i][j] == sum(lower.rows[i][t] * lower.rows[j][t] for t in range(13))
         for i in range(13)

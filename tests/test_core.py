@@ -342,6 +342,12 @@ class TestTableKernel:
         with pytest.raises(ValueError, match="symmetric"):
             TableKernel((0, 1), [[1.0, 0.5], [0.4, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_requires_finite_entries(self, bad):
+        # checked before symmetry, so a NaN entry is not called asymmetric
+        with pytest.raises(ValueError, match="^kernel table entries must be finite$"):
+            TableKernel((0, 1), [[1.0, 0.5], [0.5, bad]])
+
     def test_subset_gram(self):
         table = TableKernel((0, 1, 2), np.diag([1.0, 2.0, 3.0]))
         gram = assemble_gram(table, [2, 0])

@@ -4,8 +4,7 @@ Every generated document ends in exit 0-3 without a traceback on
 ``kernel eval``, ``kernel gram`` and ``diagnose``.  A command that fails
 says why on its first line of standard error (``error:`` for exit 1,
 ``numerical breakdown:`` for exit 2), and a ``kernel gram`` that succeeds
-prints the document's points as they were given, with finite entries unless
-a table kernel holds a non-finite one.
+prints the document's points as they were given, with finite entries.
 """
 
 import contextlib
@@ -152,5 +151,4 @@ def test_kernel_documents_exit_cleanly(doc):
                     labels, matrix = read_matrix_csv(fh)
                 if "points" in doc:  # written as given, never truncated
                     assert labels == doc["points"], (argv, labels)
-                if doc["kernel"]["type"] != "table":  # a table may hold inf on purpose
-                    assert np.isfinite(matrix).all(), (argv, matrix)
+                assert np.isfinite(matrix).all(), (argv, matrix)

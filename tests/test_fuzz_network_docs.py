@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import rkhskit.cli as cli
 from rkhskit import Disconnected, PointSet, RKHSKitError
 
-BAD_CONDUCTANCES = ("x", "1e400", float("nan"), float("inf"), float("-inf"), 0, -1.5, None, [1.0])
+BAD_CONDUCTANCES = ("x", "1e400", 10**400, float("nan"), float("inf"), float("-inf"), 0, -1.5, None, [1.0])
 
 
 def reference_error(doc):
@@ -68,7 +68,7 @@ def reference_error(doc):
         missing = [v for v in pts if v not in reached]
         if missing:
             raise Disconnected(f"vertices unreachable from base {base!r}: {missing!r}")
-    except (RKHSKitError, ValueError, TypeError, KeyError) as err:
+    except (RKHSKitError, ValueError, TypeError, OverflowError, KeyError) as err:
         return f"error: {err}"
     return None
 

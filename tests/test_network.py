@@ -97,6 +97,14 @@ class TestConstruction:
         with pytest.raises(Disconnected):
             Network([0, 1, 2, 3], 0, [(0, 1, 1.0), (2, 3, 1.0)])
 
+    @pytest.mark.parametrize("field, value", [("vertices", "oab"), ("edges", "oab"), ("edges", {"o": "a"})],
+                             ids=["vertices-string", "edges-string", "edges-object"])
+    def test_from_json_needs_lists(self, path_oab, field, value):
+        # a string would spell one vertex (or edge) per character
+        doc = {**path_oab.to_json(), field: value}
+        with pytest.raises(ValueError, match=f"^network document needs a '{field}' list$"):
+            Network.from_json(doc)
+
     def test_json_round_trip(self, path_oab):
         doc = path_oab.to_json()
         again = Network.from_json(doc)

@@ -15,6 +15,7 @@ import pytest
 import rkhskit
 import rkhskit.cli as cli
 from rkhskit import (
+    BinomialKernel,
     BrownianKernel,
     DomainMismatch,
     LevelWeights,
@@ -336,6 +337,32 @@ class TestKernelCommands:
         assert captured.err.startswith("error: labels outside the domain of kernel")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, points",
+        [(("kernel", "eval", "--x", str(10**19), "--y", str(10**19)), [0]),
+         (("diagnose",), [0, 10**19, 2 * 10**19])],
+        ids=["eval", "diagnose"],
+    )
+    def test_binomial_beyond_the_comb_range_exits_1(self, argv, points, tmp_path, capsys):
+        # C(2 * 10**19, 10**19) is past math.comb's range: an error line, no traceback
+        doc = tmp_path / "k.json"
+        doc.write_text(json.dumps({"kernel": {"type": "binomial"}, "points": points}))
+        assert run_cli(*argv, "--input", str(doc)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [("kernel", "gram"), ("diagnose",)], ids=["gram", "diagnose"])
+    @pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN"])
+    def test_table_with_a_non_finite_entry_exits_1(self, argv, entry, tmp_path, capsys):
+        doc = tmp_path / "k.json"
+        doc.write_text('{"kernel": {"type": "table", "labels": [0, 1], "entries": [[1, 0], [0, %s]]}, '
+                       '"points": [0, 1]}' % entry)
+        assert run_cli(*argv, "--input", str(doc)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: kernel table entries must be finite\n"  # no numpy warning
+        assert captured.out == ""
+
     def test_gram_csv(self, tmp_path):
         doc = tmp_path / "k.json"
         doc.write_text(json.dumps({"kernel": {"type": "brownian"}, "points": [1, 2]}))
@@ -432,6 +459,21 @@ class TestNetworkCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: resistance needs both --x and --y, or neither for the full matrix\n"
+
+    @pytest.mark.parametrize(
+        "edges, error",
+        [([[1, 2, 10**400], [2, 3, 1]], "error: int too large to convert to float"),
+         ([[1, 2, "x"], [2, 3, 10**400]], "error: could not convert string to float: 'x'"),
+         ([[1, 2, 10**400], [2, 3]], "error: not enough values to unpack (expected 3, got 2)")],
+        ids=["overflow", "earlier-edge-first", "unpacked-first"],
+    )
+    def test_conductance_beyond_the_float_range_exits_1(self, edges, error, tmp_path, capsys):
+        doc = tmp_path / "net.json"
+        doc.write_text(json.dumps({"vertices": [1, 2, 3], "base": 1, "edges": edges}))
+        assert run_cli("network", "green", "--network", str(doc)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == error + "\n"
+        assert captured.out == ""
 
     def test_delta_norm_refuses_y(self, network_doc, capsys):
         assert run_cli("network", "delta-norm", "--network", network_doc, "--x", "2.0", "--y", "1.0") == 1
@@ -867,6 +909,19 @@ class TestReproduceCommand:
     def test_binomial_suite(self, capsys):
         assert run_cli("reproduce", "binomial") == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_binomial_suite_checks_the_kernel(self, monkeypatch, capsys):
+        # the factor check compares L L^t with the kernel's own exact Gram
+        exact_gram = BinomialKernel.exact_gram
+
+        def off_by_one(kernel, labels):
+            out = exact_gram(kernel, labels)
+            out[-1][-1] += 1
+            return out
+
+        monkeypatch.setattr(BinomialKernel, "exact_gram", off_by_one)
+        assert run_cli("reproduce", "binomial") == cli.EXIT_REPRODUCE
+        assert "FAIL binomial: K = L L^t exactly (n=12)" in capsys.readouterr().out
 
     def test_gff_suite_small(self, capsys):
         assert run_cli("reproduce", "gff", "--n", "4000") == 0
