@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .core import Kernel, PointSet
+from .core import Kernel, PointSet, check_domain
 from .errors import BoundaryIndex
 
 __all__ = [
@@ -117,7 +117,6 @@ class BinomialKernel(Kernel):
 
     name = "binomial"
     domain = "nonnegative integers"
-    is_exact = True
 
     def contains(self, label) -> bool:
         return _is_nonneg_int(label)
@@ -126,10 +125,10 @@ class BinomialKernel(Kernel):
         return float(binomial_eval(int(x), int(y)))
 
     def gram(self, labels) -> np.ndarray:
-        exact = self.exact_gram(labels)
-        return np.array(exact, dtype=float)
+        return np.array(self.exact_gram(labels), dtype=float)
 
     def exact_gram(self, labels):
+        check_domain(self, labels)  # before int() can truncate 1.5 to 1
         pts = [int(x) for x in labels]
         n = len(pts)
         out = [[0] * n for _ in range(n)]

@@ -98,7 +98,9 @@ def _apply_config(parser, args, config: dict) -> None:
 
 @contextlib.contextmanager
 def _output(path):
-    """Yield stdout for ``None`` or ``-``, else a file closed on exit."""
+    """Yield stdout for ``None`` or ``-``, else a file closed on exit.
+    Opening truncates the file, so a command computes first and opens its
+    ``--out`` only to write: a failed command leaves the file as it was."""
     if path in (None, "-"):
         yield sys.stdout
     else:
@@ -130,12 +132,11 @@ def _cmd_kernel_gram(args) -> int:
     kernel, points = load_kernel_doc(_load_json(args.input))
     if len(points) == 0:  # assemble_gram's error, which the exact path never reaches
         raise ValueError("point set must be nonempty")
+    matrix = kernel.exact_gram(points.labels)
+    if matrix is None:
+        matrix = assemble_gram(kernel, points).matrix
     with _output(args.out) as out:
-        exact = kernel.exact_gram(points.labels)
-        if exact is not None:
-            write_matrix_csv(out, points.labels, exact)
-        else:
-            write_matrix_csv(out, points.labels, assemble_gram(kernel, points).matrix)
+        write_matrix_csv(out, points.labels, matrix)
     return EXIT_OK
 
 
@@ -180,16 +181,17 @@ def _cmd_diagnose(args) -> int:
 def _cmd_network(args) -> int:
     net = Network.from_json(_load_json(args.network))
     if args.network_cmd == "green":
-        kernel = green_kernel(net)
+        labels, green = green_kernel(net).points.labels, net.green_matrix()
         with _output(args.out) as out:
-            write_matrix_csv(out, kernel.points.labels, net.green_matrix())
+            write_matrix_csv(out, labels, green)
         return EXIT_OK
     if args.network_cmd == "resistance":
         if (args.x is None) != (args.y is None):
             raise ValueError("resistance needs both --x and --y, or neither for the full matrix")
         if args.x is not None:
+            value = resistance(net, json.loads(args.x), json.loads(args.y))
             with _output(args.out) as out:
-                out.write(fmt(resistance(net, json.loads(args.x), json.loads(args.y))) + "\n")
+                out.write(fmt(value) + "\n")
             return EXIT_OK
         # R_xy = G_xx + G_yy - 2 G_xy with G zero on the base's row and
         # column; summed in pairs so R is exactly symmetric, zero on the diagonal
@@ -202,8 +204,9 @@ def _cmd_network(args) -> int:
     # delta-norm
     if args.x is None:
         raise ValueError("delta-norm needs --x")
+    value = delta_norm_sq(net, json.loads(args.x))
     with _output(args.out) as out:
-        out.write(fmt(delta_norm_sq(net, json.loads(args.x))) + "\n")
+        out.write(fmt(value) + "\n")
     return EXIT_OK
 
 

@@ -127,12 +127,10 @@ class Kernel:
                 out[j, i] = v
         return out
 
-    # kernels with an exact integer arithmetic path override both of these
-    is_exact = False
-
     def exact_gram(self, labels: Sequence):
         """Exact integer Gram matrix as nested lists, or None when the kernel
-        has no exact-arithmetic path."""
+        has no exact-arithmetic path: the one declaration of that path.  An
+        override raises ``DomainMismatch`` for labels ``contains`` rejects."""
         return None
 
 

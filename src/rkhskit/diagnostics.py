@@ -26,7 +26,6 @@ from .core import (
     PointSet,
     _one_blas_thread,
     assemble_gram,
-    check_domain,
     log_det,
     projection_norm_sq,
 )
@@ -151,14 +150,11 @@ def _reported_stages(filtration: Filtration) -> list:
     return [(pos, m) for pos, m in enumerate(filtration.sizes, start=1) if m > t]
 
 
-def _exact_values(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
-    """Exact projection norms of the target at each reported stage, after a
-    domain check, from one fraction-free elimination of the last stage's exact
-    Gram (:func:`exact.leading_minors`)."""
-    points = filtration.points
-    t = points.index(filtration.target)
-    check_domain(kernel, points)
-    minors, column = exact.leading_minors(kernel.exact_gram(points.labels), t)
+def _exact_values(gram: list, filtration: Filtration, sizes: list) -> tuple:
+    """Exact projection norms of the target at each reported stage, from one
+    fraction-free elimination of its exact Gram (:func:`exact.leading_minors`)."""
+    t = filtration.points.index(filtration.target)
+    minors, column = exact.leading_minors(gram, t)
     dets = [1, *minors]       # dets[m] = det of the first m points
     # norms[m - t - 1]: the norm on the first m points, a running sum from m = t + 1
     norms = list(accumulate(Fraction(column[k] ** 2, dets[k] * dets[k + 1]) for k in range(t, len(minors))))
@@ -223,7 +219,24 @@ def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray,
     np.abs(resid, out=resid).T[~inside] = 0.0
     passed = resid.max(axis=0) <= SOLVE_RTOL * (1.0 + scale[served - 1])
     count = len(served) if passed.all() else int(np.argmin(passed))
-    return np.cumsum(c * c)[served[:count] - 1].tolist()
+    with np.errstate(over="ignore"):  # the caller names a stage beyond the float range
+        return np.cumsum(c * c)[served[:count] - 1].tolist()
+
+
+def _finite(value: float, target, m: int) -> float:
+    """``value``, or one error naming the target and the stage of ``m``
+    points whose value or ratio lies beyond the float range."""
+    if not math.isfinite(value):
+        raise OverflowError(f"the projection norm of delta at {target!r} is beyond the float range "
+                            f"at stage size {m}")
+    return value
+
+
+def _ratio(log_ratio: float, target, m: int) -> float:
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        return _finite(math.inf, target, m)  # raises, naming the stage
 
 
 def _without(a: np.ndarray, t: int) -> np.ndarray:
@@ -262,9 +275,10 @@ def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     # an inconsistent kernel factors an empty block, so no stage is served
     upper, served, scale, full = _leading_factor(a if consistent else a[:0, :0])
     values = _checked_values(a, t, upper, scale, [m for m in sizes if m <= served])
+    values = [_finite(v, target, m) for v, m in zip(values, sizes)]
     del upper   # free U before the minor is factored
     rest = np.concatenate([[0.0], _leading_factor(_without(a, t))[3]])
-    ratios = [math.exp(rest[m - 1] - full[m - 1]) for m in sizes if m <= min(served, len(rest))]
+    ratios = [_ratio(rest[m - 1] - full[m - 1], target, m) for m in sizes if m <= min(served, len(rest))]
     reason = None
     for i in range(min(len(values), len(ratios)), len(sizes)):
         value_due, ratio_due = len(values) == i, reason is None and len(ratios) == i
@@ -273,12 +287,13 @@ def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
         stage = points.prefix(sizes[i])
         gram = assemble_gram(kernel, stage)
         if value_due:
-            values.append(projection_norm_sq(gram, target))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed solve is named below
+                values.append(_finite(projection_norm_sq(gram, target), target, sizes[i]))
         if ratio_due:
             others = [x for x in stage if x != target]
             try:
                 ld_minor = log_det(assemble_gram(kernel, others)) if others else 0.0
-                ratios.append(math.exp(ld_minor - log_det(gram)))
+                ratios.append(_ratio(ld_minor - log_det(gram), target, sizes[i]))
             except RKHSKitError as err:
                 reason = str(err)
     return values, None if reason else ratios, reason
@@ -289,8 +304,8 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     containing it.
 
     Every stage is a leading block of the last stage's Gram, so one
-    factorization of that Gram serves them all.  Kernels with an exact
-    integer path carry no rounding at all: one fraction-free elimination
+    factorization of that Gram serves them all.  A kernel whose ``exact_gram``
+    returns a Gram carries no rounding at all: one fraction-free elimination
     gives every stage's value as a running sum of exact increments, and a
     zero leading minor raises :class:`SingularGram`.  Float stages are read
     from one LAPACK Cholesky factor, each checked against the pivot threshold
@@ -313,9 +328,9 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     """
     reported = _reported_stages(filtration)
     sizes = [m for _, m in reported]
-    exact_values = error = None
-    if kernel.is_exact:  # the exact ratios are the values, in an array of their own
-        exact_values = _exact_values(kernel, filtration, sizes)
+    gram, exact_values, error = kernel.exact_gram(filtration.points.labels), None, None
+    if gram is not None:  # the exact ratios are the values, in an array of their own
+        exact_values = _exact_values(gram, filtration, sizes)
         values = ratios = [float(v) for v in exact_values]
     else:
         values, ratios, error = _float_trace(kernel, filtration, sizes)

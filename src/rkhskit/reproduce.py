@@ -20,7 +20,7 @@ from .builtin import (
     bridge_delta_norm_sq,
     bridge_log_det,
 )
-from .core import assemble_gram, log_det, projection_norm_sq
+from .core import _unpermuted_factor, assemble_gram, log_det, projection_norm_sq
 from .diagnostics import Diverging, Filtration, Stabilized, classify, trace
 from .network import (
     Network,
@@ -162,12 +162,17 @@ def reproduce_tree(depth: int = 6) -> list[Check]:
     series = boundary_resistance(w1, w2, weights).series_sum
     checks.append(Check("boundary resistance equals series sum", _close(solved, series, 1e-9), solved, series))
     rows = energy_histogram(depth, weights)
+    # each row's energy is c(x) of one word at its level, on the tree built above
+    gap = max(abs(r.energy / delta_norm_sq(net, (0,) * r.level) - 1.0) for r in rows)
+    checks.append(Check("histogram energies equal c(x) on the tree", gap <= 1e-12, gap, "<= 1e-12 relative"))
     total = sum(r.multiplicity for r in rows)
     checks.append(Check("histogram multiplicities sum to 2^depth - 2", total == 2 ** depth - 2, total, 2 ** depth - 2))
     return checks
 
 
 def reproduce_gff(n: int = 20000, seed: int = 42) -> list[Check]:
+    from scipy.special import ndtri
+
     checks = []
     points = [1.0, 2.0, 3.0, 5.0, 8.0]
     net = Network.coordinate_path(points)
@@ -177,6 +182,20 @@ def reproduce_gff(n: int = 20000, seed: int = 42) -> list[Check]:
     se = gff.covariance_standard_error(gram, n)
     dev = float(np.max(np.abs(emp - gram.matrix) / se))
     checks.append(Check("empirical covariance within 5 standard errors", dev <= 5.0, dev, "<= 5"))
+    # the path's Green kernel is min(s, t): K_ss K_tt + K_st^2 = s t + min(s, t)^2
+    s = np.array(points)
+    want = np.sqrt((np.outer(s, s) + np.minimum.outer(s, s) ** 2) / n)
+    gap = float(np.max(np.abs(se - want) / want))
+    checks.append(Check("standard errors equal sqrt((s t + min(s, t)^2) / n)", gap <= 1e-12, gap, "<= 1e-12 relative"))
+    # the first draws are numpy's own Philox normals times the sampler's factor
+    lo, rows = _unpermuted_factor(gram.factorization()), min(8, n)
+    uniforms = [np.random.Generator(np.random.Philox(key=seed, counter=i << 64)).random(lo.shape[1])
+                for i in range(rows)]
+    want = ndtri(np.clip(uniforms, 1e-300, None)) @ lo.T
+    got = draws.samples[:rows]
+    gap = float(np.max(np.abs(got - want)) / np.max(np.abs(got)))
+    checks.append(Check(f"first {rows} draws equal Philox normals times the factor", gap <= 1e-12, gap,
+                        "<= 1e-12 max|draw|"))
     ok = True
     for x in points:
         deltas = gff.delta_realization(net, draws, x)

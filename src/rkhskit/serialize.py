@@ -36,6 +36,9 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+_BUILTIN = {k.name: k for k in (BrownianKernel, BridgeKernel, BinomialKernel)}  # by kernel_doc's names
+
+
 def load_kernel_doc(doc: dict) -> tuple[Kernel, PointSet]:
     """Build a kernel and point set from a parsed kernel document."""
     try:
@@ -43,12 +46,8 @@ def load_kernel_doc(doc: dict) -> tuple[Kernel, PointSet]:
         kind = spec["type"]
     except (KeyError, TypeError):
         raise ValueError("kernel document needs a 'kernel' object with a 'type'") from None
-    if kind == "brownian":
-        kernel: Kernel = BrownianKernel()
-    elif kind == "bridge":
-        kernel = BridgeKernel()
-    elif kind == "binomial":
-        kernel = BinomialKernel()
+    if isinstance(kind, str) and kind in _BUILTIN:
+        kernel: Kernel = _BUILTIN[kind]()
     elif kind == "table":
         try:
             kernel = TableKernel(spec["labels"], spec["entries"])
@@ -67,9 +66,8 @@ def load_kernel_doc(doc: dict) -> tuple[Kernel, PointSet]:
     points = doc.get("points")
     if not isinstance(points, (list, tuple)):  # a string would spell one point per character
         raise ValueError("kernel document needs a 'points' list")
-    if kind == "binomial":
-        # integral floats from JSON become ints; other points are refused
-        # here, because the exact path would truncate them with int()
+    if type(kernel).exact_gram is not Kernel.exact_gram:
+        # exact points are integers: the whole document is checked, then integral floats become ints
         check_domain(kernel, points)
         points = [int(p) for p in points]
     return kernel, PointSet.of(points)

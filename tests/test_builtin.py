@@ -14,6 +14,7 @@ from rkhskit import (
     BoundaryIndex,
     BrownianKernel,
     BridgeKernel,
+    DomainMismatch,
     PascalMatrix,
     assemble_gram,
     binomial_basis_eval,
@@ -188,6 +189,13 @@ class TestBinomialKernel:
         labels = [0, 1, 2, 5]
         exact = kernel.exact_gram(labels)
         assert np.array_equal(np.array(exact, dtype=float), kernel.gram(labels))
+
+    @pytest.mark.parametrize("labels", [[0, 1.5], [0, -1], [0, True]], ids=["fraction", "negative", "bool"])
+    def test_exact_gram_checks_its_domain(self, labels):
+        # the exact Gram converts labels with int(), so it refuses 1.5
+        # itself instead of returning the Gram of [0, 1]
+        with pytest.raises(DomainMismatch, match="nonnegative integers"):
+            BinomialKernel().exact_gram(labels)
 
 
 class TestPascal:

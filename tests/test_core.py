@@ -216,6 +216,39 @@ class TestSolveDelta:
             solve_delta(gram, 9)
 
 
+class TestRangeToleranceIsScaleFree:
+    """The semidefinite solve compares RANGE_TOL with |e_t - P e_t|, where P
+    projects onto the factor's column span.  Scaling K by a power of 4
+    changes neither that span nor the relative pivot threshold, so the
+    verdicts stay bit for bit and every value scales exactly."""
+
+    @staticmethod
+    def _outcomes(k):
+        gram = GramMatrix(PointSet(tuple(range(len(k)))), k)
+        out = []
+        for t in range(len(k)):
+            try:
+                out.append(projection_norm_sq(gram, t))
+            except (NotInRange, NotPositiveSemidefinite) as err:
+                out.append(type(err).__name__)
+        return check_pd(gram), out
+
+    def test_scaled_tables_keep_verdicts_and_scale_values(self):
+        rng = np.random.default_rng(2015)
+        excluded = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 12))
+            f = rng.integers(-3, 4, size=(n, int(rng.integers(1, n)))).astype(float)
+            k = f @ f.T   # exact integers of rank below n
+            verdict, values = self._outcomes(k)
+            excluded += values.count("NotInRange")
+            for scale in (4.0 ** 40, 4.0 ** -40):
+                scaled_verdict, scaled = self._outcomes(k * scale)
+                assert scaled_verdict == verdict
+                assert scaled == [v if isinstance(v, str) else v / scale for v in values]
+        assert excluded > 0   # both branches of the range test ran
+
+
 class TestProjectionNorm:
     def test_examples(self):
         gram = GramMatrix(PointSet((0, 1)), [[1.0, 1.0], [1.0, 2.0]])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -641,7 +642,6 @@ class ParityKernel(Kernel):
     semidefinite, and singular on any three points."""
 
     name = "parity"
-    is_exact = True
 
     def __call__(self, x, y) -> float:
         return float(1 + (x % 2) * (y % 2))
@@ -656,7 +656,6 @@ class FeatureKernel(Kernel):
     linearly dependent.  ParityKernel is the case of features (1, x mod 2)."""
 
     name = "feature"
-    is_exact = True
 
     def __init__(self, features):
         self.features = features
@@ -734,3 +733,68 @@ class TestExactRoute:
         monkeypatch.setattr(cli, "load_kernel_doc", lambda _: (ParityKernel(), PointSet.of((1, 2, 3, 4))))
         assert cli.main(["diagnose", "--input", str(doc), "--target", "1"]) == cli.EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+
+class IntegerMinKernel(Kernel):
+    """min(x, y) on the positive integers, exact only through exact_gram."""
+
+    name = "integer-min"
+
+    def __call__(self, x, y) -> float:
+        return float(min(x, y))
+
+    def exact_gram(self, labels):
+        return [[min(x, y) for y in labels] for x in labels]
+
+
+class TestExactGramDeclaresThePath:
+    """A kernel takes the exact path exactly when its exact_gram returns a
+    Gram; no other attribute is read."""
+
+    def test_kernel_with_only_exact_gram_traces_exactly(self):
+        kernel, labels = IntegerMinKernel(), [3, 1, 4, 6, 2, 9]
+        tr = trace(kernel, Filtration.prefixes(labels, target=4))
+        want = tuple(fraction_inverse_diagonal(kernel.exact_gram(labels[:m]), 2) for m in range(3, 7))
+        assert tr.exact_values == want
+        assert tr.values.tolist() == tr.det_ratios.tolist() == [float(v) for v in want]
+
+    def test_stray_is_exact_attribute_is_ignored(self):
+        class StrayFlag(BrownianKernel):
+            is_exact = True   # declares nothing: exact_gram still returns None
+
+        filtration = Filtration.prefixes([1.0, 2.0, 4.0, 7.0])
+        tr = trace(StrayFlag(), filtration)
+        want = trace(BrownianKernel(), filtration)
+        assert tr.exact_values is None
+        assert tr.values.tolist() == want.values.tolist()
+        assert tr.det_ratios.tolist() == want.det_ratios.tolist()
+
+
+class TestBeyondFloatRange:
+    """A value or ratio past the float range raises one error naming the
+    target and the stage, with no numpy warning first."""
+
+    @pytest.mark.parametrize("points, target", [([5e-324, 1.0], 5e-324), ([1e-310, 2e-310, 1.0], 1e-310)])
+    def test_one_factor_path(self, points, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as err:
+                trace(BrownianKernel(), Filtration.prefixes(points, target=target))
+        assert str(err.value) == (f"the projection norm of delta at {target!r} is beyond the float range "
+                                  "at stage size 1")
+
+    def test_late_stage_on_both_paths(self, monkeypatch):
+        # stage 1 holds 2^1000; the second point's gap of 2^-1026 clears
+        # the pivot threshold and sends stage 2 past the float range
+        points = [2.0 ** -1000, 2.0 ** -1000 + 2.0 ** -1026]
+        assert trace(BrownianKernel(), Filtration.prefixes(points[:1])).values.tolist() == [2.0 ** 1000]
+        calls = _count_pivoted(monkeypatch)
+        message = r"delta at 9\.332636185032189e-302 is beyond the float range at stage size 2$"
+        # SetScaledKernel's stages never match the last stage's block, so
+        # each is solved on its own: stage 1, then stage 2, which overflows
+        for kernel, pivoted in ((BrownianKernel(), []), (SetScaledKernel(), [1, 2])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match=message):
+                    trace(kernel, Filtration.prefixes(points))
+            assert calls == pivoted

@@ -1,10 +1,11 @@
 """Derandomized fuzz of kernel documents through the command line.
 
-Every generated document ends in exit 0-3 without a traceback on
-``kernel eval``, ``kernel gram`` and ``diagnose``.  A command that fails
-says why on its first line of standard error (``error:`` for exit 1,
-``numerical breakdown:`` for exit 2), and a ``kernel gram`` that succeeds
-prints the document's points as they were given, with finite entries.
+Every generated document ends in exit 0-3 without a traceback or a
+warning on ``kernel eval``, ``kernel gram`` and ``diagnose``.  A command
+that fails says why on its first line of standard error (exactly one line,
+``error:``, for exit 1; ``numerical breakdown:`` for exit 2).  A ``kernel
+gram`` that succeeds prints the document's points as they were given, with
+finite entries, and one that fails writes no file.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -113,8 +115,11 @@ def kernel_docs(draw):
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         code = cli.main(argv)
+    assert [str(w.message) for w in caught] == [], argv
     return code, out.getvalue(), err.getvalue()
 
 
@@ -143,9 +148,11 @@ def test_kernel_documents_exit_cleanly(doc):
             assert code in (0, 1, 2, 3), (argv, code)
             assert "Traceback" not in err, argv
             if code == 1:
-                assert err.splitlines()[0].startswith("error: "), (argv, err)
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
             elif code == 2:
                 assert err.splitlines()[0].startswith("numerical breakdown: "), (argv, err)
+            if code != 0 and written:
+                assert not os.path.exists(os.path.join(tmp, written)), argv
             if code == 0 and written:
                 with open(os.path.join(tmp, written)) as fh:
                     labels, matrix = read_matrix_csv(fh)

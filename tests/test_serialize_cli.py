@@ -2,11 +2,13 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +382,33 @@ class TestKernelCommands:
         assert run_cli("kernel", "gram", "--input", str(doc), "--out", str(out)) == 0
         body = out.read_text()
         assert "1,1,1" in body.replace("\r", "")
+
+
+class TestFailedCommandKeepsOut:
+    """A command computes before it opens ``--out``, which truncates it, so
+    one that fails leaves the file's bytes as they were."""
+
+    KEPT = b"kept,bytes\r\n1,2\r\n"
+
+    @pytest.mark.parametrize("command", ["kernel gram", "network green", "network resistance", "network delta-norm"])
+    def test_out_unchanged_on_exit_1(self, command, network_doc, tmp_path, monkeypatch, capsys):
+        bad_kernel = tmp_path / "kernel.json"
+        bad_kernel.write_text(json.dumps({"kernel": {"type": "brownian"}, "points": [1, -2]}))
+        argv = {
+            "kernel gram": ["kernel", "gram", "--input", str(bad_kernel)],
+            "network green": ["network", "green", "--network", network_doc],
+            "network resistance": ["network", "resistance", "--network", network_doc, "--x", "1", "--y", "9"],
+            "network delta-norm": ["network", "delta-norm", "--network", network_doc, "--x", "99"],
+        }[command]
+        if command == "network green":  # a valid document fails only where a fault is injected
+            def fail(net):
+                raise DomainMismatch("injected after the network is read")
+            monkeypatch.setattr(Network, "green_matrix", fail)
+        out = tmp_path / "keep.txt"
+        out.write_bytes(self.KEPT)
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == self.KEPT
 
 
 class TestNetworkCommands:
@@ -898,6 +927,28 @@ class TestTreeCommands:
         assert "Traceback" not in err
 
 
+class TestOverflowDocuments:
+    """A norm past the float range exits 1 with one line naming the target
+    and the stage, and no numpy warning before it."""
+
+    @pytest.mark.parametrize("points, target, named", [
+        ([5e-324, 1.0], None, "5e-324"),
+        ([1.0, 5e-324], "5e-324", "5e-324"),
+        ([1e-310, 2e-310, 1.0], None, "1e-310"),
+    ])
+    def test_diagnose_names_target_and_stage(self, points, target, named, tmp_path, capsys):
+        doc = tmp_path / "kernel.json"
+        doc.write_text(json.dumps({"kernel": {"type": "brownian"}, "points": points}))
+        flags = [] if target is None else ["--target", target]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("diagnose", "--input", str(doc), *flags) == 1
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the projection norm of delta at {named} is beyond the float range at stage size 1\n"
+
+
 class TestReproduceCommand:
     @pytest.mark.parametrize("name", ["brownian", "bridge", "network-path", "tree"])
     def test_suites_pass(self, name, capsys):
@@ -979,6 +1030,49 @@ class TestReproduceCommand:
         cfg.write_text(json.dumps(config))
         assert run_cli("--config", str(cfg), "reproduce", name) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depth", [2, 13])
+    def test_tree_histogram_energies_are_checked(self, depth, monkeypatch, capsys):
+        import rkhskit.reproduce as reproduce
+
+        histogram = reproduce.energy_histogram
+
+        def tripled(depth, weights):
+            return [dataclasses.replace(row, energy=3 * row.energy) for row in histogram(depth, weights)]
+
+        monkeypatch.setattr(reproduce, "energy_histogram", tripled)
+        assert run_cli("reproduce", "tree", "--depth", str(depth)) == cli.EXIT_REPRODUCE
+        out = capsys.readouterr().out
+        assert "FAIL tree: histogram energies equal c(x) on the tree (observed=2.0, " in out
+        assert f"PASS tree: histogram multiplicities sum to 2^depth - 2 (observed={2 ** depth - 2}, " in out
+
+    def test_gff_standard_errors_are_checked(self, monkeypatch, capsys):
+        import rkhskit.gff as gff
+
+        standard_error = gff.covariance_standard_error
+        monkeypatch.setattr(gff, "covariance_standard_error", lambda gram, n: 100 * standard_error(gram, n))
+        assert run_cli("reproduce", "gff", "--n", "4000") == cli.EXIT_REPRODUCE
+        out = capsys.readouterr().out
+        # the five-standard-error gate cannot see it
+        assert "PASS gff: empirical covariance within 5 standard errors" in out
+        assert "FAIL gff: standard errors equal sqrt((s t + min(s, t)^2) / n)" in out
+        assert out.count("FAIL") == 1
+
+    @pytest.mark.parametrize("n", [3, 20000])
+    def test_gff_draws_are_checked(self, n, monkeypatch, capsys):
+        import rkhskit.gff as gff
+
+        sample = gff.sample
+
+        def scaled(gram, n, seed):
+            draws = sample(gram, n, seed)
+            return dataclasses.replace(draws, samples=1.02 * draws.samples)
+
+        monkeypatch.setattr(gff, "sample", scaled)
+        assert run_cli("reproduce", "gff", "--n", str(n)) == cli.EXIT_REPRODUCE
+        out = capsys.readouterr().out
+        assert f"FAIL gff: first {min(8, n)} draws equal Philox normals times the factor" in out
+        assert out.count("FAIL") == 1
 
     def test_failing_check_exits_3(self, monkeypatch, capsys):
         from rkhskit.reproduce import Check
