@@ -130,13 +130,10 @@ class BinomialKernel(Kernel):
     def exact_gram(self, labels):
         check_domain(self, labels)  # before int() can truncate 1.5 to 1
         pts = [int(x) for x in labels]
-        n = len(pts)
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                v = binomial_eval(pts[i], pts[j])
-                out[i][j] = v
-                out[j][i] = v
+        out = [[0] * len(pts) for _ in pts]
+        for i, x in enumerate(pts):
+            for j in range(i, len(pts)):
+                out[i][j] = out[j][i] = math.comb(x + pts[j], x)  # binomial_eval(x, pts[j])
         return out
 
 

@@ -120,9 +120,9 @@ def _verdict_doc(verdict) -> dict:
 
 
 def _cmd_kernel_eval(args) -> int:
-    kernel, _ = load_kernel_doc(_load_json(args.input))
+    kernel, points = load_kernel_doc(_load_json(args.input))
     x, y = json.loads(args.x), json.loads(args.y)
-    check_domain(kernel, [x, y])
+    check_domain(kernel, [*points.labels, x, y])
     exact = kernel.exact_gram([x, y])
     print(exact[0][1] if exact is not None else fmt(kernel(x, y)))
     return EXIT_OK

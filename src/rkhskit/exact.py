@@ -34,22 +34,24 @@ def leading_minors(matrix, target):
     :class:`SingularGram` is raised.
     """
     n = len(matrix)
-    rows = [[*map(int, row), int(i == target)] for i, row in enumerate(matrix)]
-    minors = []
-    prev = 1
+    # Each row of [K | e_target] from its diagonal on, packed end to end.  K
+    # stays symmetric, so step k reads column k from its pivot row, and the
+    # rows it updates are all of ``live`` after that row.
+    live = [int(v) for i, row in enumerate(matrix) for v in (*row[i:], i == target)]
+    minors, column, prev = [], [], 1
     for k in range(n):
-        row_k = rows[k]
-        akk = row_k[k]
+        width = n - k + 1
+        pivot, akk = live[:width], live[0]
         if akk == 0:
             raise SingularGram(f"leading minor of order {k + 1} is zero: the Gram block is singular")
         minors.append(akk)
-        for i in range(k + 1, n):
-            # Bareiss update, exact division by the previous pivot.  The
-            # trailing block stays symmetric, so only entries on or right of
-            # the diagonal (and the target column) are updated, and row i's
-            # entry in column k is read from row k.
-            row_i = rows[i]
-            aik = row_k[i]
-            row_i[i:] = [(v * akk - aik * w) // prev for v, w in zip(row_i[i:], row_k[i:])]
+        column.append(pivot[-1])
+        products = [a * b for m, a in enumerate(pivot[1:-1], 1) for b in pivot[m:]]
+        # exact division by the previous pivot; both are 1 when K = L L^T with
+        # a unit-triangular L, as for the binomial kernel on {0..N}
+        if akk == 1 and prev == 1:
+            live = [v - p for v, p in zip(live[width:], products)]
+        else:
+            live = [(v * akk - p) // prev for v, p in zip(live[width:], products)]
         prev = akk
-    return minors, [row[n] for row in rows]
+    return minors, column

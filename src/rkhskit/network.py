@@ -104,6 +104,9 @@ class Network:
         # c(x), the Laplacian's diagonal: each vertex's edges as first
         # endpoint, then as second, in edge order
         self._total = np.bincount(ends.T.ravel(), np.tile(cond, 2), len(pts))
+        if not np.isfinite(self._total).all():  # finite edges can still sum past the float range
+            x = pts.labels[int(np.argmin(np.isfinite(self._total)))]
+            raise ValueError(f"total conductance at {x!r} is beyond the float range")
         self._grounded_points = None  # V \ {base} as a PointSet, built on first use
         self._adjacency = None      # (ptr, neighbour, conductance) by vertex, built on first use
         self._lock = threading.Lock()

@@ -111,11 +111,13 @@ def reproduce_binomial() -> list[Check]:
         want = sum(math.comb(k, x1) ** 2 for k in range(x1, 21))
         ok = ok and got == want
     checks.append(Check("partial norms equal sums of squared binomials", ok, "exact", "exact"))
-    points = list(range(31))
-    ok = True
-    for x1 in range(4):
-        verdict = classify(trace(BinomialKernel(), Filtration.prefixes(points, target=x1)))
-        ok = ok and isinstance(verdict, Diverging)
+    traces = [trace(BinomialKernel(), Filtration.prefixes(range(31), target=x1)) for x1 in range(4)]
+    ok = all(
+        list(tr.exact_values) == [sum(math.comb(k, x1) ** 2 for k in range(x1, m)) for m in tr.stage_sizes]
+        for x1, tr in enumerate(traces)
+    )
+    checks.append(Check("trace values equal sums of squared binomials for targets 0..3", ok, "exact", "exact"))
+    ok = all(isinstance(classify(tr), Diverging) for tr in traces)
     checks.append(Check("point-mass traces diverge for targets 0..3", ok, "Diverging", "Diverging"))
     return checks
 

@@ -190,6 +190,14 @@ class TestBinomialKernel:
         exact = kernel.exact_gram(labels)
         assert np.array_equal(np.array(exact, dtype=float), kernel.gram(labels))
 
+    @pytest.mark.parametrize(
+        "labels", [[7, 0, 3, 12], [5, 5, 0], [30, 2, 17, 2.0, 9], [0]], ids=["unsorted", "repeated", "float", "one"]
+    )
+    def test_exact_gram_entries_are_binomial_eval(self, labels):
+        gram = BinomialKernel().exact_gram(labels)
+        assert gram == [[binomial_eval(x, y) for y in labels] for x in labels]
+        assert all(type(v) is int for row in gram for v in row)
+
     @pytest.mark.parametrize("labels", [[0, 1.5], [0, -1], [0, True]], ids=["fraction", "negative", "bool"])
     def test_exact_gram_checks_its_domain(self, labels):
         # the exact Gram converts labels with int(), so it refuses 1.5

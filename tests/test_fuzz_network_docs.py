@@ -5,7 +5,8 @@ Every generated document ends in exit 0-3 without a traceback on
 document the ``error:`` line equals the one produced by ``reference_error``,
 an independent per-edge validation loop over labels.  ``Network`` also checks
 each edge once as it reads it, in input order, so the two must agree on which
-edge fails first and why; trees the package builds skip the checks and are
+edge fails first and why; then each vertex's total conductance must be finite
+although its edges are.  Trees the package builds skip the checks and are
 not generated here.
 """
 
@@ -43,6 +44,7 @@ def reference_error(doc):
             raise ValueError(f"base vertex {base!r} is not a vertex")
         seen = set()
         adjacency = {v: [] for v in pts}
+        total = dict.fromkeys(pts, 0.0)
         for u, v, c in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u!r} is not allowed")
@@ -59,6 +61,11 @@ def reference_error(doc):
             seen.add(key)
             adjacency[u].append(v)
             adjacency[v].append(u)
+            total[u] += c
+            total[v] += c
+        beyond = [v for v in pts if total[v] == math.inf]
+        if beyond:
+            raise ValueError(f"total conductance at {beyond[0]!r} is beyond the float range")
         reached, stack = {base}, [base]
         while stack:
             for y in adjacency[stack.pop()]:
@@ -98,7 +105,7 @@ def network_docs(draw):
     base = vertices[draw(st.integers(0, n - 1))]
     mutations = draw(st.lists(st.sampled_from(
         ["conductance", "unknown", "self-loop", "duplicate", "reversed-duplicate", "fields",
-         "dict-endpoint", "dict-vertex", "isolated", "split", "float-alias"]), max_size=3))
+         "dict-endpoint", "dict-vertex", "isolated", "split", "float-alias", "heavy"]), max_size=3))
     for kind in mutations:
         k = draw(st.integers(0, len(edges) - 1))
         if kind == "conductance":
@@ -123,6 +130,11 @@ def network_docs(draw):
                 edges.append([vertices[0], vertices[1], 1.0])
         elif kind == "float-alias" and isinstance(edges[k][0], int):
             edges[k][0] = float(edges[k][0])  # 1.0 names the vertex 1
+        elif kind == "heavy":  # finite edges; their total passes the float range at a vertex of degree 2 or more
+            w = vertices[draw(st.integers(0, n - 1))]
+            for edge in edges:
+                if w in edge[:2]:
+                    edge[2] = 1e308
     if "fields" in mutations:  # last, so that the other mutations see three fields
         k = draw(st.integers(0, len(edges) - 1))
         edges[k] = edges[k][:2] if draw(st.booleans()) else edges[k] + [0]

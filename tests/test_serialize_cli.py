@@ -320,6 +320,14 @@ class TestKernelCommands:
         assert run_cli("kernel", "eval", "--input", brownian_doc, "--x", "3", "--y", "7") == 0
         assert capsys.readouterr().out.strip() == "3"
 
+    def test_eval_checks_the_document_points(self, tmp_path, capsys):
+        doc = tmp_path / "k.json"
+        doc.write_text(json.dumps({"kernel": {"type": "brownian"}, "points": [1, -1, 2]}))
+        assert run_cli("kernel", "eval", "--input", str(doc), "--x", "1", "--y", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: labels outside the domain of kernel 'brownian' (finite positive reals): [-1]\n"
+        assert captured.out == ""
+
     def test_eval_binomial_exact(self, tmp_path, capsys):
         doc = tmp_path / "bin.json"
         doc.write_text(json.dumps({"kernel": {"type": "binomial"}, "points": [0]}))
@@ -409,6 +417,43 @@ class TestFailedCommandKeepsOut:
         assert run_cli(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert out.read_bytes() == self.KEPT
+
+
+class TestNetworkTotals:
+    """Finite edges whose sum at a vertex, its total conductance c(x), passes
+    the float range are refused when the network is read."""
+
+    OVERFLOW = {"vertices": ["o", "a", "b"], "base": "o", "edges": [["o", "a", 1e308], ["a", "b", 1e308]]}
+
+    @pytest.mark.parametrize("argv", [
+        ["network", "green"],
+        ["network", "resistance"],
+        ["network", "delta-norm", "--x", '"a"'],
+        ["gff", "sample", "--n", "3", "--seed", "5"],
+    ], ids=["green", "resistance", "delta-norm", "gff-sample"])
+    def test_overflowing_total_exits_1(self, argv, tmp_path, capsys):
+        doc = tmp_path / "net.json"
+        doc.write_text(json.dumps(self.OVERFLOW))
+        assert run_cli(*argv, "--network", str(doc)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: total conductance at 'a' is beyond the float range\n"
+        assert captured.out == ""
+
+    def test_first_overflowing_vertex_is_named(self):
+        edges = [("o", "a", 1e308), ("a", "b", 1e308), ("b", "c", 1e308)]
+        with pytest.raises(ValueError, match="total conductance at 'b' is beyond"):
+            Network(["o", "b", "a", "c"], "o", edges)
+
+    def test_totals_below_the_float_maximum(self, tmp_path):
+        doc = tmp_path / "net.json"
+        doc.write_text(json.dumps({"vertices": ["o", "a", "b"], "base": "o",
+                                   "edges": [["o", "a", 8e307], ["a", "b", 8e307]]}))
+        out = tmp_path / "green.csv"
+        assert run_cli("network", "green", "--network", str(doc), "--out", str(out)) == 0
+        with open(out) as fh:
+            labels, matrix = read_matrix_csv(fh)
+        assert labels == ["a", "b"]
+        assert np.allclose(matrix, [[1.25e-308, 1.25e-308], [1.25e-308, 2.5e-308]], rtol=1e-12, atol=0)
 
 
 class TestNetworkCommands:
@@ -973,6 +1018,22 @@ class TestReproduceCommand:
         monkeypatch.setattr(BinomialKernel, "exact_gram", off_by_one)
         assert run_cli("reproduce", "binomial") == cli.EXIT_REPRODUCE
         assert "FAIL binomial: K = L L^t exactly (n=12)" in capsys.readouterr().out
+
+    def test_binomial_trace_values_are_checked(self, monkeypatch, capsys):
+        from rkhskit import exact
+
+        leading_minors = exact.leading_minors
+
+        def bumped(matrix, target):
+            minors, column = leading_minors(matrix, target)
+            column[-1] += 1
+            return minors, column
+
+        monkeypatch.setattr(exact, "leading_minors", bumped)
+        assert run_cli("reproduce", "binomial") == cli.EXIT_REPRODUCE
+        out = capsys.readouterr().out
+        assert "FAIL binomial: trace values equal sums of squared binomials for targets 0..3" in out
+        assert out.count("FAIL") == 1
 
     def test_gff_suite_small(self, capsys):
         assert run_cli("reproduce", "gff", "--n", "4000") == 0
