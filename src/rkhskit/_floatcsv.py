@@ -33,14 +33,13 @@ from typing import TextIO
 
 import numpy as np
 
-from .gff import _mulhilo
-
 _BLOCK_CELLS = 4096
 _E_MIN, _E_MAX = -4, 14
 _U64 = np.uint64
 _LOW, _HIGH = _U64(10**16), _U64(10**17)
 _HALF = _U64(1 << 63)
 _MANTISSA, _HIDDEN = _U64((1 << 52) - 1), _U64(1 << 52)
+_LO32 = _U64(0xFFFFFFFF)
 
 
 def write_float_rows(fp: TextIO, matrix: np.ndarray) -> None:
@@ -153,6 +152,17 @@ def _encode_rows(block: np.ndarray, words: np.ndarray) -> str:
     cells &= _MASKS.take(code, axis=0)
     text = cells.tobytes().translate(None, b"\0").decode("ascii")
     return text % tuple(x[slow].tolist()) if len(slow) else text
+
+
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x of uint64 arrays of
+    one shape, via 32-bit halves."""
+    m_lo, m_hi = m & _LO32, m >> _U64(32)
+    x_lo, x_hi = x & _LO32, x >> _U64(32)
+    cross = x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _U64(32)) + (cross & _LO32) + x_lo * m_hi
+    hi = x_hi * m_hi + (cross >> _U64(32)) + (mid >> _U64(32))
+    return hi, x * m
 
 
 def _fixed_digits(x: np.ndarray):

@@ -1,23 +1,19 @@
 """Seeded joint-Gaussian sampling with a prescribed kernel covariance.
 
-The normals behind draw i, component j are a pure function of (seed, i, j):
-each draw row owns a counter-based Philox4x64-10 stream (Salmon et al.,
-SC'11), consumed as uniforms and pushed through the inverse normal CDF, so a
-longer run starts with the normals of a shorter one bit for bit.  The draws
-are those normals times the covariance's pivoted factor, by one matrix
-product whose rounding follows the draw count, so a longer run's first draws
-match a shorter run's only within rounding: on a depth-6 tree's Green Gram,
-rows 0-6 of 3000 draws differ from 7 draws by 6.9e-16 of max|x|.  The draws
-are bit-exact for a bit-identical (gram, n, seed) only: a Gram equal within
+Each draw row is a pure function of (gram, seed, row): a longer run starts
+with a shorter run's draws bit for bit.  The normals come from one stream,
+numpy's Philox4x64-10 (Salmon et al., SC'11) keyed by the seed with counter
+0: row i of a run with ``cols`` normals per row takes words
+``i * cols ... i * cols + cols - 1`` of ``Philox(key=seed).random_raw``, word
+u becomes the double ``(u >> 11) * 2^-53`` (an exact 0 clipped to 1e-300),
+and the inverse normal CDF turns it into a normal.  Seeds outside
+``[0, 2^128)`` raise ``ValueError``.  The draws are those normals times the
+covariance's pivoted factor, in fixed blocks of ``_DRAW_BLOCK`` rows on one
+BLAS thread, the last block padded with zero rows: every product has one
+shape, so its rounding does not follow the draw count.  The draws are
+bit-exact for a bit-identical (gram, seed) only: a Gram equal within
 rounding can break ties between pivots otherwise, and ``dpstrf``'s pivot
 order decides the factor.
-
-The stream is numpy's ``Generator(Philox(key=seed, counter=i << 64))``
-computed for all rows at once: the key is ``(seed mod 2^64, seed >> 64)``,
-row i draws its block k >= 1 from the counter ``(k, i, 0, 0)``, each block
-gives 4 words, a row of ``cols`` uniforms keeps the first ``cols`` words, and
-word u becomes the double ``(u >> 11) * 2^-53``.  Seeds outside
-``[0, 2^128)`` raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -31,21 +27,7 @@ from .errors import MissingNeighbor, NotPositiveSemidefinite
 from .network import Network, _green_block
 
 
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_MASK64 = (1 << 64) - 1
-
-
-def _mulhilo(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, via 32-bit halves;
-    m is a np.uint64 scalar or a uint64 array of x's shape."""
-    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
-    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
-    cross = x_hi * m_lo
-    mid = ((x_lo * m_lo) >> np.uint64(32)) + (cross & _LO32) + x_lo * m_hi
-    hi = x_hi * m_hi + (cross >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, x * m
+_DRAW_BLOCK = 256
 
 
 def _normal_rows(seed: int, n: int, cols: int) -> np.ndarray:
@@ -54,24 +36,27 @@ def _normal_rows(seed: int, n: int, cols: int) -> np.ndarray:
     seed = int(seed)
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    blocks = -(-cols // 4)
-    shape = (n, blocks)
-    # counter words (k, i, 0, 0) for row i and block k = 1..blocks
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    x1 = np.broadcast_to(np.arange(n, dtype=np.uint64)[:, None], shape)
-    x2 = x3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = seed & _MASK64, seed >> 64
-    for r in range(10):
-        if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
-    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(n, 4 * blocks)[:, :cols]
-    u = (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    words = np.random.Philox(key=seed).random_raw(n * cols).reshape(n, cols)
+    words >>= np.uint64(11)
+    # below 2^53 the int64 to float conversion is exact
+    u = words.view(np.int64).astype(np.float64)
+    u *= 1.0 / 9007199254740992.0
     # a word below 2^11 gives exactly 0; keep the inverse CDF finite
     np.clip(u, 1e-300, None, out=u)
     return ndtri(u)
+
+
+def _times_factor(z: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The rows of ``z @ lo.T``, each by a product of one fixed shape."""
+    n = len(z)
+    out = np.empty((-(-n // _DRAW_BLOCK) * _DRAW_BLOCK, len(lo)))
+    with _one_blas_thread:
+        for start in range(0, n, _DRAW_BLOCK):
+            block = z[start : start + _DRAW_BLOCK]
+            if len(block) < _DRAW_BLOCK:
+                block = np.vstack((block, np.zeros((_DRAW_BLOCK - len(block), z.shape[1]))))
+            np.dot(block, lo.T, out=out[start : start + _DRAW_BLOCK])
+    return out[:n]
 
 
 @dataclass(frozen=True)
@@ -100,9 +85,10 @@ def sample(gram: GramMatrix, n: int, seed: int) -> GFFSampleSet:
     """Draw ``n`` joint Gaussians with covariance ``gram``.
 
     Rank-deficient covariances are sampled in their numerical column span via
-    the truncated pivoted factor.  Identical (gram, n, seed) gives bit-exact
-    identical output, whatever the BLAS thread count: the factor and the
-    product run on one thread.
+    the truncated pivoted factor.  Row i of the draws depends only on (gram,
+    seed, i), bit for bit, whatever ``n`` and the BLAS thread count: the
+    factor and the products run on one thread, and every product has one
+    shape.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -110,9 +96,7 @@ def sample(gram: GramMatrix, n: int, seed: int) -> GFFSampleSet:
     if isinstance(fact.status, NotPSD):
         raise NotPositiveSemidefinite(fact.status.witness)
     lo = _unpermuted_factor(fact)
-    rank = lo.shape[1]
-    with _one_blas_thread:
-        draws = _normal_rows(seed, n, rank) @ lo.T
+    draws = _times_factor(_normal_rows(seed, n, lo.shape[1]), lo)
     return GFFSampleSet(points=gram.points, samples=draws, seed=seed, covariance=gram)
 
 

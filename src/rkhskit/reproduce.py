@@ -191,8 +191,8 @@ def reproduce_gff(n: int = 20000, seed: int = 42) -> list[Check]:
     checks.append(Check("standard errors equal sqrt((s t + min(s, t)^2) / n)", gap <= 1e-12, gap, "<= 1e-12 relative"))
     # the first draws are numpy's own Philox normals times the sampler's factor
     lo, rows = _unpermuted_factor(gram.factorization()), min(8, n)
-    uniforms = [np.random.Generator(np.random.Philox(key=seed, counter=i << 64)).random(lo.shape[1])
-                for i in range(rows)]
+    words = np.random.Philox(key=seed).random_raw(rows * lo.shape[1]).reshape(rows, lo.shape[1])
+    uniforms = (words >> np.uint64(11)).astype(np.int64) * 2.0 ** -53
     want = ndtri(np.clip(uniforms, 1e-300, None)) @ lo.T
     got = draws.samples[:rows]
     gap = float(np.max(np.abs(got - want)) / np.max(np.abs(got)))

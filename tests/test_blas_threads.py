@@ -71,7 +71,7 @@ print("dual", hashlib.sha256(b"".join(row.values.tobytes() for row in dual)).hex
 
 # sha256 of ``sample(g, 3000, 11).samples`` on the depth-7 ``geometric:0.5``
 # tree's Green Gram (254 points), as drawn under one OpenBLAS thread.
-TREE_SAMPLE_SHA256 = "b0a8b2228ea294f2b2684cc4986c7f273019b274eb5c6a952f365d1ae7bf7be6"
+TREE_SAMPLE_SHA256 = "4d82eabb6151749a81b2a4326c50a742eb86c535e7c6cad2aaa5218069c3815c"
 
 
 def _digests(threads: int) -> list:

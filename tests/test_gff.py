@@ -48,30 +48,44 @@ class TestDeterminism:
         assert not np.array_equal(a.samples, b.samples)
 
     def test_prefix_property_of_row_streams(self, path_gram):
-        # on this 2-point Gram the 100-draw run equals the first 100 of 300
-        # draws bit for bit; in general only the normals are prefix-stable
-        # (test_longer_run_starts_with_shorter_within_rounding)
+        # the 100-draw run equals the first 100 of 300 draws bit for bit,
+        # normals and draws alike (test_longer_run_starts_with_shorter_bit_for_bit)
         a = sample(path_gram, 100, 3)
         b = sample(path_gram, 300, 3)
         assert np.array_equal(b.samples[:100], a.samples)
 
 
-def test_longer_run_starts_with_shorter_within_rounding():
-    # the normals are prefix-stable bit for bit; the product with the factor
-    # rounds by the draw count, so the draws agree only within rounding
-    kernel = green_kernel(build_tree(6, LevelWeights.geometric(0.5)))
-    gram = assemble_gram(kernel, kernel.points)
+def rank_deficient_gram():
+    """K = F F^T with an integer 70 x 5 F: exact entries, rank 5."""
+    f = np.random.default_rng(33).integers(-3, 4, size=(70, 5)).astype(float)
+    return GramMatrix(PointSet(tuple(range(70))), f @ f.T)
+
+
+PREFIXES = [1, 7, 255, 256, 257, 1000, 2999]
+
+
+@pytest.mark.parametrize("name", ["tree-6", "rank-5"])
+def test_longer_run_starts_with_shorter_bit_for_bit(name):
+    # the normals are one stream, and every product with the factor has one
+    # shape whatever the draw count, so row i depends on (gram, seed, i) only
+    if name == "tree-6":
+        kernel = green_kernel(build_tree(6, LevelWeights.geometric(0.5)))
+        gram = assemble_gram(kernel, kernel.points)
+    else:
+        gram = rank_deficient_gram()
+        assert gram.factorization().upper.shape[0] == 5
     rank = gram.factorization().upper.shape[0]
     assert np.array_equal(gff._normal_rows(11, 3000, rank)[:7], gff._normal_rows(11, 7, rank))
-    short, long = sample(gram, 7, 11).samples, sample(gram, 3000, 11).samples[:7]
-    assert np.abs(long - short).max() <= 1e-14 * np.abs(short).max()
+    long = sample(gram, 3000, 11).samples
+    for n in PREFIXES:
+        assert np.array_equal(long[:n], sample(gram, n, 11).samples), n
 
 
 def oracle_uniforms(seed, n, cols):
-    """numpy's own Philox4x64-10 stream for each row: key seed, counter i << 64."""
-    return np.array(
-        [np.random.Generator(np.random.Philox(key=seed, counter=i << 64)).random(cols) for i in range(n)]
-    )
+    """numpy's own Philox4x64-10 stream, key seed and counter 0, n rows of
+    cols words each, as uniforms (u >> 11) * 2^-53."""
+    words = np.random.Philox(key=seed).random_raw(n * cols).reshape(n, cols)
+    return (words >> np.uint64(11)).astype(np.int64) * 2.0 ** -53
 
 
 EDGE_SEEDS = [0, 2**64 - 1, 2**64, 2**128 - 1]
@@ -99,6 +113,24 @@ class TestPhiloxStream:
             gff._normal_rows(seed, 3, 2)
         with pytest.raises(ValueError):
             sample(path_gram, 3, seed)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**128 - 1)),
+        n=st.integers(1, 50),
+        cols=st.integers(1, 70),
+        data=st.data(),
+    )
+    def test_any_row_is_generated_on_its_own(self, seed, n, cols, data):
+        # row i starts at word i * cols: skip whole 4-word blocks, then the rest
+        i = data.draw(st.integers(0, n - 1))
+        bit_gen = np.random.Philox(key=seed)
+        bit_gen.advance((i * cols) // 4)
+        words = bit_gen.random_raw((i * cols) % 4 + cols)[(i * cols) % 4 :]
+        alone = (words >> np.uint64(11)).astype(np.int64) * 2.0 ** -53
+        with mock.patch.object(scipy.special, "ndtri", lambda u: u):
+            got = gff._normal_rows(seed, n, cols)
+        assert (got[i] == np.clip(alone, 1e-300, None)).all()
 
 
 class TestStatistics:

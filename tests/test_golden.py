@@ -600,7 +600,9 @@ def test_network_structure_matches_golden_hash(name):
 # other than 0, so base-relative indexing is exercised away from the first
 # row.  The digests were taken while the Laplacian was factored with the
 # base's row and column deleted, before the factor kept every vertex and
-# pinned the base's row to the identity; they must match byte for byte.
+# pinned the base's row to the identity; they must match byte for byte.  The
+# gff-sample and gff-check digests were re-taken when the sampler's normals
+# became one Philox stream and its products one shape.
 REBASED = {"chords-12": (2701, 12, 5), "chords-25": (2702, 25, 24), "chords-40": (2703, 40, 17)}
 
 
@@ -635,8 +637,8 @@ REBASED_CSV_SHA256 = {
         "resistance-base-x": "3781c842054fd05da710cd8b4a78501421016de6ea4b72f4c0e697431af40b11",
         "resistance-x-y": "0728f026e034152e0c3f216b1e86cea31db805196876aaf8110330b54c78686d",
         "delta-norm": "0e51aae606ff4c154c1afd5c30dbfa63e0e36110f6c49f891cb9b5de44b61ce8",
-        "gff-sample": "d5cd2369349a829a8cabb24bb86a93a963c39c6127593647e042201ed1eac2dc",
-        "gff-check": "b7a2eb579a5c8d5b6a117b0f54faccb9edd53f8135715236eb952066bca660ef",
+        "gff-sample": "345ce1f88d8e79a719575c1eb183176ad98d03f7746dbc2c464372da340b04a1",
+        "gff-check": "330356cac23d7e1b339facec005cb7d4a31287ff5c2a8d6cdea370af96f85a3a",
         "kernel-gram": "07b1c6e4d40cabdb329ed7d4098e1654aa46d1b48a352a6a1ee40c1c4de88454",
     },
     "chords-25": {
@@ -645,8 +647,8 @@ REBASED_CSV_SHA256 = {
         "resistance-base-x": "4fde91280d7176c7ea64e1f2282b1d8ad84fc1ae3ed301d2cd328b06485c5fbe",
         "resistance-x-y": "5176f5d9b14ca3f400cd8873e20c02e5e6ae5e6fede3225ec9bf7da0594ef829",
         "delta-norm": "b04b2f2f4b4f273479790223187aa801fd68e856e0b44b24d1d6413b4221d703",
-        "gff-sample": "9c0c5ab0d15d9bc8b07b451e7494e66956ee31a6ca245879392c00d3629ca55e",
-        "gff-check": "9bc9b3fbdf141caa63941edbde8ff4f9e3d12f9ee96c8f5e31902f8d3c9955b1",
+        "gff-sample": "466b49b13f0274940fdf75086ce8abee4f5dc3bca3351a92cbfa0b2ff0de9106",
+        "gff-check": "d2f766fcd941be3b434248d20eea04abf3f98c2dd69302846344d489a84d9ec4",
         "kernel-gram": "30ff5ea0fdec2d822bb89756db752b48de96afe8fb6f8161407bff21d308edfd",
     },
     "chords-40": {
@@ -655,8 +657,8 @@ REBASED_CSV_SHA256 = {
         "resistance-base-x": "02033f5a85b48141e20dd1927c72dbdd4d2936178bf16122fdd4f05686cacae7",
         "resistance-x-y": "e7d0f5cd684fb49aec7439396b1c6f779e266e38ac4169d70c241de13034aa33",
         "delta-norm": "c4c7bbe51547c77151b4ed3807e3fb7a4cc1b60787639a63f30f619aa5339f37",
-        "gff-sample": "f4d72f6ed435d66f39221ba2d97e254470b877f80000a3f41a39e9e89f15edf1",
-        "gff-check": "911f79067936a92bc48463fe69a7b5e8151483f9da4c5696ef6dc6d68b7eb170",
+        "gff-sample": "47d94533ce96f2c3667413eada218eccf187f627741e95019b12ad597582ec48",
+        "gff-check": "5e2064616f65f84bc8e60f90c76760693246fe74b889e85902207836fca9d99b",
         "kernel-gram": "f350c2e6194db4a846676b55588b5da785184fc68a9b8c1402c80fc1219afb9c",
     },
 }
@@ -730,9 +732,9 @@ def test_single_vertex_network_matches_golden(cmd, tmp_path):
 # sha256 of sample(gram, 1000, seed).samples.tobytes(); the float stream is
 # bit-exact on one platform, so these pin the draws exactly.
 SAMPLE_SHA256 = {
-    "identity-3": (42, "4a67a92dea6790881cb93a1cccbdf20930f1dc8571cd8313257193f01f971ba6"),
-    "brownian-5": (7, "f9447edfc33fa6814cdb9fc87d71ced9ca62c8712eb8adc1a77ac60d2a066339"),
-    "rank-2-table": (2015, "8dacbe096cb0a2805f7567efe19c5b538d25430f3a17f3d5dd8330aaa405086f"),
+    "identity-3": (42, "ad6c724601e6e8e4ae299624e4bce29900d214dfc3b7980ea172a4124f1dd398"),
+    "brownian-5": (7, "89226038d8c4af4456b43e9857f256d75a239105aa29434d7cb1b375d7e3eaab"),
+    "rank-2-table": (2015, "85bdd18cf20866463bf4c447142435f2dc9ddedc3d84965aeab49d605ba5746a"),
 }
 
 

@@ -1135,6 +1135,32 @@ class TestReproduceCommand:
         assert f"FAIL gff: first {min(8, n)} draws equal Philox normals times the factor" in out
         assert out.count("FAIL") == 1
 
+    def test_gff_point_mass_variances_are_checked(self, monkeypatch, capsys):
+        import rkhskit.gff as gff
+
+        realization = gff.delta_realization
+        monkeypatch.setattr(gff, "delta_realization", lambda *args: 1.1 * realization(*args))
+        assert run_cli("reproduce", "gff", "--n", "4000") == cli.EXIT_REPRODUCE
+        out = capsys.readouterr().out
+        assert "FAIL gff: realized point-mass variance matches c(x)" in out
+        assert out.count("FAIL") == 1
+
+    def test_gff_reproducibility_is_checked(self, monkeypatch, capsys):
+        import rkhskit.gff as gff
+
+        sample, seeds = gff.sample, []
+
+        def forgetful(gram, n, seed):
+            # the second call with a seed draws from the next seed instead
+            seeds.append(seed)
+            return sample(gram, n, seed + seeds.count(seed) - 1)
+
+        monkeypatch.setattr(gff, "sample", forgetful)
+        assert run_cli("reproduce", "gff", "--n", "4000") == cli.EXIT_REPRODUCE
+        out = capsys.readouterr().out
+        assert "FAIL gff: same seed reproduces draws bit-exactly" in out
+        assert out.count("FAIL") == 1
+
     def test_failing_check_exits_3(self, monkeypatch, capsys):
         from rkhskit.reproduce import Check
 
