@@ -49,7 +49,7 @@ class TestDeterminism:
 
     def test_prefix_property_of_row_streams(self, path_gram):
         # the 100-draw run equals the first 100 of 300 draws bit for bit,
-        # normals and draws alike (test_longer_run_starts_with_shorter_bit_for_bit)
+        # normals and draws alike (test_longer_run_starts_with_shorter_within_rounding)
         a = sample(path_gram, 100, 3)
         b = sample(path_gram, 300, 3)
         assert np.array_equal(b.samples[:100], a.samples)
@@ -64,21 +64,19 @@ def rank_deficient_gram():
 PREFIXES = [1, 7, 255, 256, 257, 1000, 2999]
 
 
-@pytest.mark.parametrize("name", ["tree-6", "rank-5"])
-def test_longer_run_starts_with_shorter_bit_for_bit(name):
+def test_longer_run_starts_with_shorter_within_rounding():
     # the normals are one stream, and every product with the factor has one
-    # shape whatever the draw count, so row i depends on (gram, seed, i) only
-    if name == "tree-6":
-        kernel = green_kernel(build_tree(6, LevelWeights.geometric(0.5)))
-        gram = assemble_gram(kernel, kernel.points)
-    else:
-        gram = rank_deficient_gram()
-        assert gram.factorization().upper.shape[0] == 5
-    rank = gram.factorization().upper.shape[0]
-    assert np.array_equal(gff._normal_rows(11, 3000, rank)[:7], gff._normal_rows(11, 7, rank))
-    long = sample(gram, 3000, 11).samples
-    for n in PREFIXES:
-        assert np.array_equal(long[:n], sample(gram, n, 11).samples), n
+    # shape whatever the draw count, so row i depends on (gram, seed, i) only:
+    # the rounding allowed between a longer and a shorter run is none at all
+    kernel = green_kernel(build_tree(6, LevelWeights.geometric(0.5)))
+    grams = {"tree-6": assemble_gram(kernel, kernel.points), "rank-5": rank_deficient_gram()}
+    assert grams["rank-5"].factorization().upper.shape[0] == 5
+    for name, gram in grams.items():
+        rank = gram.factorization().upper.shape[0]
+        assert np.array_equal(gff._normal_rows(11, 3000, rank)[:7], gff._normal_rows(11, 7, rank)), name
+        long = sample(gram, 3000, 11).samples
+        for n in PREFIXES:
+            assert np.array_equal(long[:n], sample(gram, n, 11).samples), (name, n)
 
 
 def oracle_uniforms(seed, n, cols):
