@@ -90,7 +90,9 @@ class BridgeKernel(Kernel):
 
     def gram(self, labels) -> np.ndarray:
         a = np.asarray(labels, dtype=float)
-        return np.minimum.outer(a, a) - np.outer(a, a)
+        out = np.minimum.outer(a, a)
+        out -= np.outer(a, a)  # in place: one n-by-n temporary, not two
+        return out
 
 
 def binomial_eval(x: int, y: int) -> int:

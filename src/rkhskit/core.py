@@ -147,7 +147,7 @@ class TableKernel(Kernel):
             raise ValueError("table shape does not match the label count")
         if not np.isfinite(m).all():
             raise ValueError("kernel table entries must be finite")
-        if not np.array_equal(m, m.T):
+        if not _exactly_symmetric(m):
             raise ValueError("kernel table must be symmetric")
         m = m.copy()
         m.setflags(write=False)
@@ -319,14 +319,21 @@ class GramMatrix:
     """
 
     def __init__(self, points: PointSet, matrix, kernel_name: str = "kernel"):
-        self.points = PointSet.of(points)
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (len(self.points), len(self.points)):
-            raise ValueError("matrix shape does not match the point count")
-        if not np.array_equal(m, m.T):
-            raise ValueError("Gram matrices must be exactly symmetric")
+        points = PointSet.of(points)
+        self._adopt(points, _square_symmetric(matrix, len(points)), kernel_name)
+
+    @classmethod
+    def _of_checked(cls, points: PointSet, m: np.ndarray, kernel_name: str) -> "GramMatrix":
+        """Gram matrix over an array :func:`_square_symmetric` already passed,
+        copied without checking it again."""
+        out = object.__new__(cls)
+        out._adopt(points, m, kernel_name)
+        return out
+
+    def _adopt(self, points: PointSet, m: np.ndarray, kernel_name: str) -> None:
         m = m.copy()
         m.setflags(write=False)
+        self.points = points
         self.matrix = m
         self.kernel_name = kernel_name
         self._lock = threading.Lock()
@@ -376,10 +383,41 @@ class CoefficientVector:
 def assemble_gram(kernel: Kernel, points) -> GramMatrix:
     """Evaluate the kernel over all pairs of the point set."""
     pts = PointSet.of(points)
+    return GramMatrix._of_checked(pts, _checked_gram(kernel, pts), kernel.name)
+
+
+def _checked_gram(kernel: Kernel, pts: PointSet) -> np.ndarray:
+    """``kernel.gram`` over a nonempty point set, with the domain, shape and
+    exact-symmetry checks of :func:`assemble_gram` but without its read-only
+    copy.  The array may be the kernel's own, so callers only read it."""
     if len(pts) == 0:
         raise ValueError("point set must be nonempty")
     check_domain(kernel, pts)
-    return GramMatrix(pts, kernel.gram(pts.labels), kernel_name=kernel.name)
+    return _square_symmetric(kernel.gram(pts.labels), len(pts))
+
+
+def _square_symmetric(matrix, n: int) -> np.ndarray:
+    """``matrix`` as a C-ordered float array, checked to be n-by-n and
+    exactly symmetric."""
+    m = np.ascontiguousarray(matrix, dtype=float)
+    if m.shape != (n, n):
+        raise ValueError("matrix shape does not match the point count")
+    if not _exactly_symmetric(m):
+        raise ValueError("Gram matrices must be exactly symmetric")
+    return m
+
+
+# Rows compared at a time by the exact-symmetry test.
+_SYMMETRY_PANEL = 256
+
+
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """Whether the square ``m`` equals its transpose bit for bit, the verdict
+    of ``np.array_equal(m, m.T)`` (a NaN never equals itself), from one
+    panel of rows at a time against the matching columns: entry (i, j) with
+    j < i is met in the panel of row i, and no temporary is n-by-n."""
+    ends = range(_SYMMETRY_PANEL, len(m) + _SYMMETRY_PANEL, _SYMMETRY_PANEL)
+    return all(np.array_equal(m[j - _SYMMETRY_PANEL:j, :j], m[:j, j - _SYMMETRY_PANEL:j].T) for j in ends)
 
 
 def check_domain(kernel: Kernel, labels) -> None:

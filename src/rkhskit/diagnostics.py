@@ -9,6 +9,7 @@ filtration with its tolerances recorded, never a theorem.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -24,6 +25,7 @@ from .core import (
     SOLVE_RTOL,
     Kernel,
     PointSet,
+    _checked_gram,
     _one_blas_thread,
     assemble_gram,
     log_det,
@@ -161,27 +163,79 @@ def _exact_values(gram: list, filtration: Filtration, sizes: list) -> tuple:
     return tuple(norms[m - t - 1] for m in sizes)
 
 
-def _leading_factor(matrix: np.ndarray):
-    """One LAPACK Cholesky of ``matrix``, read as the factor of each of its
-    leading blocks.
+def _leading_factor(square: np.ndarray):
+    """One LAPACK Cholesky of the F-ordered Gram ``square``, in place, read
+    as the factor of each of its leading blocks.
 
-    Returns ``(upper, served, scale, log_dets)``: the upper factor U
-    (F-ordered, ``U^T U = K``); how many leading blocks it serves, those
-    LAPACK factored whose pivots ``U_kk^2`` all exceed PIVOT_RTOL times the
-    block's largest diagonal entry; ``scale[k]``, that largest entry over the
-    first k + 1 points; and ``log_dets[k]``, the log-determinant of the first
+    Returns ``(upper, served, scale, log_dets)``: ``square`` holding the
+    upper factor U (``U^T U = K``) in its upper triangle and K still in its
+    strict lower one; how many leading blocks it serves, those LAPACK
+    factored whose pivots ``U_kk^2`` all exceed PIVOT_RTOL times the block's
+    largest diagonal entry; ``scale[k]``, that largest entry over the first
+    k + 1 points; and ``log_dets[k]``, the log-determinant of the first
     k + 1 points for each served block.  A failure at pivot k leaves the
     first k - 1 rows valid, so the blocks before it are still served.
     """
     from scipy.linalg.lapack import dpotrf
 
-    upper, info = dpotrf(matrix.T, lower=0, clean=1)
-    done = len(matrix) if info == 0 else max(info - 1, 0)
+    scale = np.maximum.accumulate(np.diagonal(square))   # read before U overwrites the diagonal
+    upper, info = dpotrf(square, lower=0, clean=0, overwrite_a=1)
+    done = len(square) if info == 0 else max(info - 1, 0)
     diagonal = np.diagonal(upper)[:done]
-    scale = np.maximum(np.maximum.accumulate(np.diagonal(matrix)[:done]), 0.0)
+    scale = np.maximum(scale[:done], 0.0)
     cleared = np.minimum.accumulate(diagonal ** 2) > PIVOT_RTOL * scale
     served = done if cleared.all() else int(np.argmin(cleared))
     return upper, served, scale, np.cumsum(2.0 * np.log(diagonal[:served]))
+
+
+def _gram_square(work: np.ndarray, a: np.ndarray, t: int | None = None) -> np.ndarray:
+    """The Gram ``a``, or ``a`` without row and column ``t``, copied to the
+    front of the flat buffer ``work`` as an F-ordered square for LAPACK to
+    factor in place.  ``a`` is symmetric bit for bit, so its rows are copied
+    as the square's columns, the order both are stored in.  With no ``t``
+    every entry falls in the first of the blocks below."""
+    n = len(a) if t is None else len(a) - 1
+    t = n if t is None else t
+    square = work[:n * n].reshape(n, n, order="F")
+    blocks = ((slice(None, t), slice(None, t)), (slice(t, None), slice(t + 1, None)))
+    for rows_out, rows_in in blocks:
+        for cols_out, cols_in in blocks:
+            square.T[rows_out, cols_out] = a[rows_in, cols_in]
+    return square
+
+
+@functools.cache
+def _blas_routine(name: str, nargs: int):
+    """SciPy's BLAS routine ``name``, the one behind ``scipy.linalg.blas``,
+    through the function pointer SciPy exports for Cython."""
+    import ctypes
+
+    from scipy.linalg import cython_blas
+
+    capsule = cython_blas.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(get_pointer(capsule, get_name(capsule)))
+
+
+def _blas(name: str, *args) -> None:
+    """Call SciPy's BLAS routine ``name`` as Fortran does, every argument by
+    reference: bytes are flags, ints and floats go by a C int or double, and
+    arrays by the address of their first entry.  Unlike the f2py wrappers,
+    which copy a block that is not contiguous, this reads a leading block of
+    a larger F-ordered matrix where it lies, given its leading dimension."""
+    from ctypes import byref, c_double, c_int
+
+    _blas_routine(name, len(args))(*[
+        x.ctypes.data if isinstance(x, np.ndarray) else x if isinstance(x, bytes)
+        else byref(c_int(x) if isinstance(x, numbers.Integral) else c_double(x))
+        for x in args
+    ])
+
+
+# Served stages checked together: the check's temporaries are m-by-_CHECK_BLOCK.
+_CHECK_BLOCK = 128
 
 
 def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray, served: list) -> list:
@@ -193,32 +247,45 @@ def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray,
     contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + scale[m - 1])``,
     with ``c = U^-T e_t``; its value is then ``sum_{k<m} c_k^2``.  For the
     positive-definite blocks served, ``scale[m - 1]``, their largest
-    diagonal entry, is ``max|K_m|``.  Every stage is
-    checked at once: column j of ``C`` is ``c`` with its entries from ``m_j``
+    diagonal entry, is ``max|K_m|``.  Stages are checked in blocks of up to
+    ``_CHECK_BLOCK``, each against the leading block of its largest stage
+    ``m_b``: column j of ``C`` is ``c[:m_b]`` with its entries from ``m_j``
     on cleared, and since ``U^-1`` is upper triangular, column j of
-    ``Z = U^-1 C`` (one ``dtrsm``) is ``zeta_{m_j}`` padded with zeros, so one
-    product ``K Z - e_t 1^T`` holds each stage's residual in its first ``m_j``
-    rows.  The n-by-stages temporaries die on return, before the caller
-    factors the target-deleted minor.
+    ``Z = U_{m_b}^-1 C`` (one ``dtrsm``) is ``zeta_{m_j}`` padded with zeros,
+    so one product ``K_{m_b} Z - e_t 1^T`` holds each stage's residual in its
+    first ``m_j`` rows.  The leading blocks of U and K are read where they
+    lie, never copied, and checking stops at the first block that fails.
     """
-    from scipy.linalg.blas import dgemm, dtpsv, dtrsm
+    from scipy.linalg.blas import dtpsv
     from scipy.linalg.lapack import dtrttp
 
     if not served:
         return []
+    if not (upper.flags.f_contiguous and a.flags.c_contiguous):  # the BLAS calls read them by address
+        raise ValueError("the trace's factor must be F-ordered and its Gram C-ordered")
     served = np.array(served, dtype=np.intp)
     n = int(served[-1])
     e_t = np.zeros(n)
     e_t[t] = 1.0
-    # the packed solve's rounding is what the golden diagnose CSVs pin
+    # the packed solve's rounding is what the golden diagnose CSVs pin; its
+    # packed copy of U dies with the call
     c = dtpsv(n, dtrttp(upper)[0], e_t, trans=1)
-    inside = np.arange(n) < served[:, None]
-    z = dtrsm(1.0, upper[:n, :n], (inside * c).T, overwrite_b=1)
-    resid = dgemm(1.0, a.T[:n, :n], z)   # K is symmetric bit for bit
-    resid[t] -= 1.0
-    np.abs(resid, out=resid).T[~inside] = 0.0
-    passed = resid.max(axis=0) <= SOLVE_RTOL * (1.0 + scale[served - 1])
-    count = len(served) if passed.all() else int(np.argmin(passed))
+    count = 0
+    for start in range(0, len(served), _CHECK_BLOCK):
+        block = served[start:start + _CHECK_BLOCK]
+        m, k = int(block[-1]), len(block)
+        inside = np.arange(m) < block[:, None]
+        z = (inside * c[:m]).T   # F-ordered, m by k
+        _blas("dtrsm", b"L", b"U", b"N", b"N", m, k, 1.0, upper, len(upper), z, m)
+        resid = np.empty((m, k), order="F")
+        # a is C-ordered and symmetric bit for bit, so it reads as K F-ordered
+        _blas("dgemm", b"N", b"N", m, k, m, 1.0, a, len(a), z, m, 0.0, resid, m)
+        resid[t] -= 1.0
+        np.abs(resid, out=resid).T[~inside] = 0.0
+        passed = resid.max(axis=0) <= SOLVE_RTOL * (1.0 + scale[block - 1])
+        count += k if passed.all() else int(np.argmin(passed))
+        if count < start + k:
+            break
     with np.errstate(over="ignore"):  # the caller names a stage beyond the float range
         return np.cumsum(c * c)[served[:count] - 1].tolist()
 
@@ -239,16 +306,6 @@ def _ratio(log_ratio: float, target, m: int) -> float:
         return _finite(math.inf, target, m)  # raises, naming the stage
 
 
-def _without(a: np.ndarray, t: int) -> np.ndarray:
-    """``a`` with row and column ``t`` deleted, copied once block by block."""
-    out = np.empty((len(a) - 1, len(a) - 1))
-    blocks = ((slice(None, t), slice(None, t)), (slice(t, None), slice(t + 1, None)))
-    for rows_out, rows_in in blocks:
-        for cols_out, cols_in in blocks:
-            out[rows_out, cols_out] = a[rows_in, cols_in]
-    return out
-
-
 @_one_blas_thread
 def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     """``(values, ratios, reason)`` of a float kernel at each reported stage:
@@ -261,6 +318,8 @@ def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     so the Gram is assembled once and one LAPACK Cholesky of each serves
     them: a value while :func:`_checked_values` passes it, a ratio while
     both factors serve its blocks, read from running sums of ``2 log U_kk``.
+    The Gram is not copied, and both factors are taken in place in one work
+    buffer, the minor's after the values' check: two n-by-n arrays in all.
     A kernel that gives the first reported stage a different matrix on its
     own than the Gram's leading block has no stage served.  From the first
     stage either misses, each stage is assembled once and its one pivoted
@@ -269,16 +328,18 @@ def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     """
     points, target = filtration.points, filtration.target
     t, first = points.index(target), sizes[0]
-    a = assemble_gram(kernel, points).matrix
-    consistent = first == len(a) or np.array_equal(
-        assemble_gram(kernel, points.prefix(first)).matrix, a[:first, :first])
-    # an inconsistent kernel factors an empty block, so no stage is served
-    upper, served, scale, full = _leading_factor(a if consistent else a[:0, :0])
-    values = _checked_values(a, t, upper, scale, [m for m in sizes if m <= served])
-    values = [_finite(v, target, m) for v, m in zip(values, sizes)]
-    del upper   # free U before the minor is factored
-    rest = np.concatenate([[0.0], _leading_factor(_without(a, t))[3]])
-    ratios = [_ratio(rest[m - 1] - full[m - 1], target, m) for m in sizes if m <= min(served, len(rest))]
+    a = _checked_gram(kernel, points)
+    consistent = first == len(a) or np.array_equal(_checked_gram(kernel, points.prefix(first)), a[:first, :first])
+    values, ratios = [], []
+    if consistent:  # an inconsistent kernel has no stage served
+        work = np.empty(a.size)   # the factor of a, then that of its minor
+        upper, served, scale, full = _leading_factor(_gram_square(work, a))
+        values = _checked_values(a, t, upper, scale, [m for m in sizes if m <= served])
+        values = [_finite(v, target, m) for v, m in zip(values, sizes)]
+        if served:
+            rest = np.concatenate([[0.0], _leading_factor(_gram_square(work, a, t))[3]])
+            ratios = [_ratio(rest[m - 1] - full[m - 1], target, m) for m in sizes if m <= min(served, len(rest))]
+        del work, upper   # free the buffer before any stage is solved on its own
     reason = None
     for i in range(min(len(values), len(ratios)), len(sizes)):
         value_due, ratio_due = len(values) == i, reason is None and len(ratios) == i
@@ -320,7 +381,7 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     correctly rounded exact value.  On the float path they are an independent
     cross-check from determinants only (:func:`_float_trace`): the
     target-deleted minor of the last stage is factored after the values'
-    batched check and before the monotonicity check, so a trace that fails
+    blocked check and before the monotonicity check, so a trace that fails
     that check has paid for it too.  A stage that falls back is assembled
     and pivot-factored once, and that one factor gives both its value and
     its ratio.  A stage without a ratio (a semidefinite minor, say) leaves

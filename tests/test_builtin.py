@@ -1,6 +1,7 @@
 """Closed-form oracles for the Brownian, bridge, and binomial kernels."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -159,6 +160,29 @@ class TestBridge:
             gram = assemble_gram(BridgeKernel(), pts)
             want = bridge_log_det(pts)
             assert abs(log_det(gram) - want) <= 1e-9 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 97, 512])
+    def test_gram_keeps_the_bits_of_its_two_temporary_form(self, n):
+        # the in-place subtraction rounds each entry as the old expression did
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 1.0, n)
+        x[0] = 0.5
+        old = np.minimum.outer(x, x) - np.outer(x, x)
+        assert BridgeKernel().gram(list(x)).tobytes() == old.tobytes()
+
+    def test_gram_holds_one_temporary(self):
+        # the result and one outer product: two n-by-n arrays at the peak
+        n = 1000
+        x = [float(v) for v in np.linspace(0.001, 0.999, n)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            BridgeKernel().gram(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n * n + 2 ** 20
 
 
 class TestBinomialKernel:

@@ -28,6 +28,7 @@ from rkhskit import (
     projection_norm_sq,
     solve_delta,
 )
+import rkhskit.core as core
 from rkhskit.core import _unpermuted_factor
 
 
@@ -368,6 +369,49 @@ class TestCoefficientVector:
     def test_label_lookup(self):
         cv = CoefficientVector(PointSet(("a", "b")), [2.0, -1.0])
         assert cv["b"] == -1.0
+
+
+class TestExactSymmetry:
+    """One row-panel test gives the verdict of ``np.array_equal(m, m.T)``
+    for Gram matrices and kernel tables alike."""
+
+    @staticmethod
+    def _symmetric(n, seed):
+        k = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        return k + k.T
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_symmetric_passes(self, n):
+        m = self._symmetric(n, n)
+        assert core._exactly_symmetric(m)
+        GramMatrix(PointSet(range(n)), m)
+        TableKernel(range(n), m)
+
+    # the entry just past, at and before the first panel's edge, and the
+    # corners: each asymmetric entry, in either triangle, is found
+    @pytest.mark.parametrize("i, j", [(255, 256), (256, 255), (255, 0), (0, 256), (599, 0), (0, 599), (300, 299)])
+    def test_one_asymmetric_entry_fails(self, i, j):
+        m = self._symmetric(600, 1)
+        m[i, j] = np.nextafter(m[i, j], 2.0)
+        assert core._exactly_symmetric(m) is np.array_equal(m, m.T) is False
+        with pytest.raises(ValueError, match="^Gram matrices must be exactly symmetric$"):
+            GramMatrix(PointSet(range(600)), m)
+        with pytest.raises(ValueError, match="^kernel table must be symmetric$"):
+            TableKernel(range(600), m)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (256, 256), (255, 256), (599, 3)])
+    def test_nan_fails_even_where_mirrored(self, i, j):
+        # a NaN never equals itself, so a symmetric NaN entry fails too
+        m = self._symmetric(600, 2)
+        m[i, j] = m[j, i] = np.nan
+        assert core._exactly_symmetric(m) is np.array_equal(m, m.T) is False
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            GramMatrix(PointSet(range(600)), m)
+
+    def test_negative_zero_equals_zero(self):
+        m = np.zeros((300, 300))
+        m[280, 10] = -0.0
+        assert core._exactly_symmetric(m) is np.array_equal(m, m.T) is True
 
 
 class TestTableKernel:

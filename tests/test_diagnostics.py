@@ -186,6 +186,21 @@ def _count_pivoted(monkeypatch):
     return calls
 
 
+def _count_assembled(monkeypatch):
+    # every Gram goes through core._checked_gram: the trace's own last stage
+    # and consistency check, and each stage assemble_gram builds for a fallback
+    sizes = []
+    original = core._checked_gram
+
+    def counting(kernel, points):
+        sizes.append(len(points))
+        return original(kernel, points)
+
+    monkeypatch.setattr(core, "_checked_gram", counting)
+    monkeypatch.setattr(diagnostics, "_checked_gram", counting)
+    return sizes
+
+
 def _stages(filtration):
     return [filtration.points.prefix(m) for m in filtration.sizes]
 
@@ -222,14 +237,7 @@ class TestOneFactorFallback:
     def test_fallback_stage_assembled_and_factored_once(self, monkeypatch):
         # the stage a value falls back to is the stage its ratio reads, so
         # one Gram and its one cached pivoted factor serve both
-        assembled = []
-        original = diagnostics.assemble_gram
-
-        def counting(kernel, points):
-            assembled.append(len(points))
-            return original(kernel, points)
-
-        monkeypatch.setattr(diagnostics, "assemble_gram", counting)
+        assembled = _count_assembled(monkeypatch)
         calls = _count_pivoted(monkeypatch)
         tr = trace(SetScaledKernel(), Filtration.prefixes([1.0, 2.0, 3.5, 5.0], target=2.0))
         # the last stage and the consistency check, then each stage and its minor
@@ -325,6 +333,14 @@ class TestOneFactorFallback:
         assert tr.values[:3].tolist() == np.cumsum(c * c)[2:5].tolist()
         assert tr.values[3:].tolist() == want[3:]
 
+    @pytest.mark.parametrize("block", [3, 2])
+    def test_residual_failure_in_a_later_block(self, block, monkeypatch):
+        # the same stages checked in blocks of 3 or 2: the failing fourth
+        # stage opens or closes the second block, and stages after it, in
+        # its block and beyond, still take the pivoted path
+        monkeypatch.setattr(diagnostics, "_CHECK_BLOCK", block)
+        self.test_residual_failure_at_a_middle_stage(monkeypatch)
+
     def test_nan_entry_rejected_as_asymmetric(self):
         class NanKernel(BrownianKernel):
             def gram(self, labels):
@@ -353,14 +369,7 @@ class TestOneFactorFallback:
         assert built == [1]
 
     def test_pd_filtration_factors_once(self, monkeypatch):
-        assembled = []
-        original = diagnostics.assemble_gram
-
-        def counting(kernel, points):
-            assembled.append(len(points))
-            return original(kernel, points)
-
-        monkeypatch.setattr(diagnostics, "assemble_gram", counting)
+        assembled = _count_assembled(monkeypatch)
         calls = _count_pivoted(monkeypatch)
         rng = np.random.default_rng(61)
         pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, 1000)))]
@@ -468,18 +477,12 @@ class TestSharedLastStage:
         assert all(row[3] for row in rows)
 
     def test_float_diagnose_assembles_and_factors_last_stage_once(self, tmp_path, monkeypatch):
-        assembled, factored = [], []
-        assemble, potrf = diagnostics.assemble_gram, dpotrf
-
-        def counting_assemble(kernel, points):
-            assembled.append(len(points))
-            return assemble(kernel, points)
+        assembled, factored = _count_assembled(monkeypatch), []
 
         def counting_potrf(matrix, **kwargs):
             factored.append(len(matrix))
-            return potrf(matrix, **kwargs)
+            return dpotrf(matrix, **kwargs)
 
-        monkeypatch.setattr(diagnostics, "assemble_gram", counting_assemble)
         # diagnostics imports dpotrf where it calls it, so it reads this patch
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_potrf)
         self._diagnose(tmp_path, "bridge", [k / 41 for k in range(1, 41)], "--stages", "doubling")
@@ -768,6 +771,65 @@ class TestExactGramDeclaresThePath:
         assert tr.exact_values is None
         assert tr.values.tolist() == want.values.tolist()
         assert tr.det_ratios.tolist() == want.det_ratios.tolist()
+
+
+def _unit_points(rng, n):
+    gaps = rng.uniform(0.5, 1.5, n + 1)
+    return [float(v) for v in (np.cumsum(gaps)[:-1] / gaps.sum())[rng.permutation(n)]]
+
+
+class TestTraceMemory:
+    """A float trace holds the last stage's Gram and one work buffer, which
+    holds its factor and then its target-deleted minor's: at its peak, with
+    the packed copy of the factor, 2.5 n^2 doubles and a little more."""
+
+    N = 1000
+
+    def _peak(self, kernel, filtration):
+        trace(kernel, filtration)   # scipy's imports and the BLAS controls load once
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tr = trace(kernel, filtration)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tr.det_ratios is not None
+        return tr, peak
+
+    def test_bridge_doubling(self):
+        pts = _unit_points(np.random.default_rng(34), self.N)
+        tr, peak = self._peak(BridgeKernel(), Filtration.doubling(pts, target=pts[0]))
+        assert len(tr.values) == 11
+        assert peak <= 2.5 * 8 * self.N ** 2 + 2 ** 20
+
+    def test_brownian_prefix_target_first(self):
+        # every stage is checked, in blocks whose temporaries are n-by-block
+        rng = np.random.default_rng(35)
+        pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, self.N)))]
+        tr, peak = self._peak(BrownianKernel(), Filtration.prefixes(pts, target=pts[0]))
+        assert len(tr.values) == self.N
+        assert peak <= 2.5 * 8 * self.N ** 2 + 2 ** 20
+
+    def test_factors_in_one_buffer(self, monkeypatch):
+        # both dpotrf calls factor in place, the minor in the front of the
+        # buffer that held the trace's own factor
+        buffers = []
+        potrf = dpotrf
+
+        def recording(matrix, **kwargs):
+            out = potrf(matrix, **kwargs)
+            buffers.append((matrix, out[0]))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording)
+        pts = _unit_points(np.random.default_rng(36), 50)
+        trace(BridgeKernel(), Filtration.doubling(pts, target=pts[7]))
+        (full, full_out), (minor, minor_out) = buffers
+        assert full_out is full and minor_out is minor
+        assert full.shape == (50, 50) and minor.shape == (49, 49)
+        assert np.shares_memory(full, minor)
 
 
 class TestBeyondFloatRange:

@@ -408,6 +408,99 @@ def test_rank_deficient_diagnose_stdout_matches_golden(tmp_path, capsys):
     assert capsys.readouterr().out == RANK_DEFICIENT_STDOUT
 
 
+# -- float trace pins -------------------------------------------------------
+#
+# Values, determinant ratios (or the reason they are missing) and stage
+# counts of seeded float traces, pinned bit for bit before the trace moved
+# its factors into one work buffer and checked its stages in blocks: the
+# factor and the packed solve see the same input, so only residual rounding
+# may move, and no stage here lies near its bound.
+
+class _SetScaledKernel(BrownianKernel):
+    """Entries depend on the whole set, so no stage is read from the factor."""
+
+    def gram(self, labels):
+        return super().gram(labels) * (1.0 + 1.0 / len(labels))
+
+
+def _unit_points(rng, n):
+    gaps = rng.uniform(0.5, 1.5, n + 1)
+    return [float(v) for v in (np.cumsum(gaps)[:-1] / gaps.sum())[rng.permutation(n)]]
+
+
+def _line_points(rng, n):
+    return [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, n)))]
+
+
+def _pd_table(rng, n, width):
+    f = rng.uniform(-1.0, 1.0, (n, width))
+    k = f @ f.T + np.eye(n)
+    return TableKernel(range(n), np.triu(k) + np.triu(k, 1).T)
+
+
+def _float_trace_cases():
+    rng = np.random.default_rng(3401)
+    line, line6, unit4, unit6 = (_line_points(rng, 300), _line_points(rng, 600),
+                                 _unit_points(rng, 400), _unit_points(rng, 600))
+    # a point 1e-13 past another at position 150: its pivot falls below the
+    # threshold, so later stages are solved on their own and have no ratio
+    near = _line_points(rng, 200)
+    near.insert(150, near[40] + 1e-13)
+    # rows 40 and 90 share one feature vector: stages from the 91st on are
+    # semidefinite, the target stays in range, and its minor is singular
+    f = rng.integers(-3, 4, (120, 120)).astype(float)
+    f[90] = f[40]
+    dup = TableKernel(range(120), f @ f.T)
+    return {
+        "brownian-prefix-300": (BrownianKernel(), Filtration.prefixes(line, target=line[0])),
+        "brownian-doubling-600": (BrownianKernel(), Filtration.doubling(line6, target=line6[20])),
+        "bridge-prefix-400": (BridgeKernel(), Filtration.prefixes(unit4, target=unit4[133])),
+        "bridge-doubling-600": (BridgeKernel(), Filtration.doubling(unit6, target=unit6[0])),
+        "table-prefix-200": (_pd_table(rng, 200, 50), Filtration.prefixes(range(200), target=0)),
+        "table-doubling-256": (_pd_table(rng, 256, 300), Filtration.doubling(range(256), target=3)),
+        "fallback-inconsistent-60": (_SetScaledKernel(), Filtration.prefixes(line[:60], target=line[5])),
+        "fallback-near-duplicate-201": (BrownianKernel(), Filtration.prefixes(near, target=near[0])),
+        "singular-minor-table-120": (dup, Filtration.prefixes(range(120), target=0)),
+    }
+
+
+def _trace_pin(tr):
+    ratios = (tr.det_ratio_unavailable if tr.det_ratios is None
+              else hashlib.sha256(tr.det_ratios.tobytes()).hexdigest())
+    return [len(tr.values), None if tr.det_ratios is None else len(tr.det_ratios),
+            hashlib.sha256(tr.values.tobytes()).hexdigest(), ratios]
+
+
+FLOAT_TRACE_PINS = {
+    # name: [values, ratios (None when missing), sha256 of the values' float64
+    # bytes, sha256 of the ratios' bytes or the message of why they are missing]
+    "bridge-doubling-600": [11, 11, "25f98173c2ce3b114d5f8a430f8488001c091b0e12ef2e34955b2a011299f778",
+                            "aeebd8a712f865f9859c07bf2aea4254c0df7da9af9bd8815fc6c359676463ee"],
+    "bridge-prefix-400": [267, 267, "c4e38f2128d0c6ec4fa7f391a08a352e8debfac241fc80bfe59a0df07c96fdc0",
+                          "1ebfaaf8db54323bd2875fc2ed37aaf32790eaae5559f125f430bf3267f9c42b"],
+    "brownian-doubling-600": [6, 6, "3c954f4a7e6bb92735040e2e694708dded65f29e5d2bca4d4488d42cf337eeb4",
+                              "75e78a21d3c836860c536b71cf4d7953ed7b5616787702ad15a1945b7086c032"],
+    "brownian-prefix-300": [300, 300, "75eadeaf650ff2cb5388e829ee36cc558ac1864bbfaf3582008e93018b37bec4",
+                            "53f0abdb00f4631fa2505a5fa9e81766db41fde2869af2924f58e14908f6cf2e"],
+    "fallback-inconsistent-60": [55, 55, "a23ff8d02037bb5c2290bf2a2a1293ae70759a7de3ab756f2e746722127e0a4e",
+                                 "6e6e5fd6517bc5c28b0f1628be7159816e5cc108120db9584b3c2a4dd4370062"],
+    "fallback-near-duplicate-201": [201, None, "4fc2cb6ab23fa6825edde49512e8da348c2e24cb350c20e6f48cff7681dec6f3",
+                                    "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=149)"],
+    "singular-minor-table-120": [120, None, "288ad2509c90f31a8b0120a552044e77aae45a761a84986880d139a861a1c15a",
+                                 "log_det needs a strictly PD Gram matrix, got SemiDefinite(rank=89)"],
+    "table-doubling-256": [7, 7, "65f9d0ec7038f5d7603006e7309bfb932fa2f672921e19beaf75b3f686962a66",
+                           "2ec3b528db302f1dd5dd911abef832c5f1e17c5fd8f88c5a7a2074ab986aacf4"],
+    "table-prefix-200": [200, 200, "ad2532cbd92fa8ce0874c7f79c89575d33fabc4a067760a700fac245ee8edc37",
+                         "1c7a88f52a6890e6ff5974466d6a9af3ffede63abf95135d18d50a8cbe5c3eb4"],
+}
+FLOAT_TRACE_CASES = _float_trace_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_TRACE_PINS))
+def test_float_trace_matches_pin(name):
+    assert _trace_pin(trace(*FLOAT_TRACE_CASES[name])) == FLOAT_TRACE_PINS[name]
+
+
 # -- networks ---------------------------------------------------------------
 
 

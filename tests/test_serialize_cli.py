@@ -1161,6 +1161,23 @@ class TestReproduceCommand:
         assert "FAIL gff: same seed reproduces draws bit-exactly" in out
         assert out.count("FAIL") == 1
 
+    def test_brownian_stabilization_is_checked(self, monkeypatch, capsys):
+        # the first-point check reads the one-factor float trace; values
+        # scaled by 1 + 1e-6 still stabilize at stage 2, at the wrong limit
+        import rkhskit.diagnostics as diagnostics
+
+        float_trace = diagnostics._float_trace
+
+        def scaled(*args):
+            values, ratios, reason = float_trace(*args)
+            return [v * (1 + 1e-6) for v in values], ratios, reason
+
+        monkeypatch.setattr(diagnostics, "_float_trace", scaled)
+        assert run_cli("reproduce", "brownian") == cli.EXIT_REPRODUCE
+        out = capsys.readouterr().out
+        assert "FAIL brownian: first-point trace stabilizes at stage 2 (observed=Stabilized(limit=2.000002" in out
+        assert out.count("FAIL") == 1
+
     def test_failing_check_exits_3(self, monkeypatch, capsys):
         from rkhskit.reproduce import Check
 
