@@ -76,6 +76,10 @@ class BrownianKernel(Kernel):
         return np.minimum.outer(a, a)
 
 
+# Rows of the bridge Gram whose s t products are formed at a time.
+_GRAM_ROWS = 128
+
+
 class BridgeKernel(Kernel):
     """Covariance of the Brownian bridge pinned at 0 and 1: min(s,t) - s t."""
 
@@ -91,7 +95,8 @@ class BridgeKernel(Kernel):
     def gram(self, labels) -> np.ndarray:
         a = np.asarray(labels, dtype=float)
         out = np.minimum.outer(a, a)
-        out -= np.outer(a, a)  # in place: one n-by-n temporary, not two
+        for i in range(0, len(a), _GRAM_ROWS):  # no n-by-n temporary
+            out[i:i + _GRAM_ROWS] -= np.multiply.outer(a[i:i + _GRAM_ROWS], a)
         return out
 
 

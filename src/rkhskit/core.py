@@ -116,7 +116,10 @@ class Kernel:
         the pair ``labels[i], labels[j]``, not on the rest of the set, so
         that every prefix's Gram is a leading block of the full one;
         filtration traces read every stage from the last stage's factor on
-        that basis."""
+        that basis.  A trace factors the returned array in place when it is
+        a fresh, writeable array that nothing else holds, and copies it
+        first otherwise, so an override may return a Gram it keeps, or a
+        read-only one, and find it unchanged."""
         n = len(labels)
         out = np.empty((n, n), dtype=float)
         for i in range(n):
@@ -161,7 +164,7 @@ class TableKernel(Kernel):
 
     def gram(self, labels) -> np.ndarray:
         idx = [self.points.index(x) for x in labels]
-        return self.entries[np.ix_(idx, idx)].copy()
+        return self.entries[np.ix_(idx, idx)]   # a fresh array: fancy indexing copies
 
 
 @dataclass(frozen=True)
@@ -389,7 +392,8 @@ def assemble_gram(kernel: Kernel, points) -> GramMatrix:
 def _checked_gram(kernel: Kernel, pts: PointSet) -> np.ndarray:
     """``kernel.gram`` over a nonempty point set, with the domain, shape and
     exact-symmetry checks of :func:`assemble_gram` but without its read-only
-    copy.  The array may be the kernel's own, so callers only read it."""
+    copy.  The array may be the kernel's own, so a caller that writes it
+    takes it through ``diagnostics._writable``."""
     if len(pts) == 0:
         raise ValueError("point set must be nonempty")
     check_domain(kernel, pts)
@@ -407,17 +411,18 @@ def _square_symmetric(matrix, n: int) -> np.ndarray:
     return m
 
 
-# Rows compared at a time by the exact-symmetry test.
-_SYMMETRY_PANEL = 256
+# Side of the square tiles compared at a time by the exact-symmetry test.
+_SYMMETRY_TILE = 128
 
 
 def _exactly_symmetric(m: np.ndarray) -> bool:
     """Whether the square ``m`` equals its transpose bit for bit, the verdict
     of ``np.array_equal(m, m.T)`` (a NaN never equals itself), from one
-    panel of rows at a time against the matching columns: entry (i, j) with
-    j < i is met in the panel of row i, and no temporary is n-by-n."""
-    ends = range(_SYMMETRY_PANEL, len(m) + _SYMMETRY_PANEL, _SYMMETRY_PANEL)
-    return all(np.array_equal(m[j - _SYMMETRY_PANEL:j, :j], m[:j, j - _SYMMETRY_PANEL:j].T) for j in ends)
+    square tile at a time against its mirror: entry (i, j) with j <= i is
+    met in the tile of row i and column j, and no temporary is n-by-n."""
+    step = _SYMMETRY_TILE
+    return all((m[i:i + step, j:j + step] == m[j:j + step, i:i + step].T).all()
+               for i in range(0, len(m), step) for j in range(0, i + 1, step))
 
 
 def check_domain(kernel: Kernel, labels) -> None:

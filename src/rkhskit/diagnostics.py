@@ -13,6 +13,8 @@ import functools
 import math
 import numbers
 import operator
+import sys
+from ctypes import byref, c_double, c_int, c_void_p
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -163,87 +165,79 @@ def _exact_values(gram: list, filtration: Filtration, sizes: list) -> tuple:
     return tuple(norms[m - t - 1] for m in sizes)
 
 
-def _leading_factor(square: np.ndarray):
-    """One LAPACK Cholesky of the F-ordered Gram ``square``, in place, read
-    as the factor of each of its leading blocks.
+def _leading_factor(square: np.ndarray, diagonal: np.ndarray):
+    """One LAPACK Cholesky, in place, of the leading block of the F-ordered
+    square ``square`` that holds K in its upper triangle, read as the factor
+    of each of its leading blocks.  ``diagonal`` is K's diagonal, whose
+    length is the block's.
 
-    Returns ``(upper, served, scale, log_dets)``: ``square`` holding the
-    upper factor U (``U^T U = K``) in its upper triangle and K still in its
-    strict lower one; how many leading blocks it serves, those LAPACK
-    factored whose pivots ``U_kk^2`` all exceed PIVOT_RTOL times the block's
-    largest diagonal entry; ``scale[k]``, that largest entry over the first
-    k + 1 points; and ``log_dets[k]``, the log-determinant of the first
-    k + 1 points for each served block.  A failure at pivot k leaves the
-    first k - 1 rows valid, so the blocks before it are still served.
+    Returns ``(served, scale, log_dets)``: how many leading blocks the upper
+    factor U (``U^T U = K``) now in the block's upper triangle serves, those
+    LAPACK factored whose pivots ``U_kk^2`` all exceed PIVOT_RTOL times the
+    block's largest diagonal entry; ``scale[k]``, that largest entry over
+    the first k + 1 points; and ``log_dets[k]``, the log-determinant of the
+    first k + 1 points for each served block.  LAPACK leaves the strict
+    lower triangle as it was.  A failure at pivot k leaves the first k - 1
+    rows valid, so the blocks before it are still served.
     """
-    from scipy.linalg.lapack import dpotrf
-
-    scale = np.maximum.accumulate(np.diagonal(square))   # read before U overwrites the diagonal
-    upper, info = dpotrf(square, lower=0, clean=0, overwrite_a=1)
-    done = len(square) if info == 0 else max(info - 1, 0)
-    diagonal = np.diagonal(upper)[:done]
-    scale = np.maximum(scale[:done], 0.0)
-    cleared = np.minimum.accumulate(diagonal ** 2) > PIVOT_RTOL * scale
+    n = len(diagonal)
+    info = c_int()
+    _fortran("dpotrf", b"U", n, _address(square), len(square), byref(info))
+    done = n if info.value == 0 else max(info.value - 1, 0)
+    pivots = np.diagonal(square)[:done]
+    scale = np.maximum(np.maximum.accumulate(diagonal)[:done], 0.0)
+    cleared = np.minimum.accumulate(pivots ** 2) > PIVOT_RTOL * scale
     served = done if cleared.all() else int(np.argmin(cleared))
-    return upper, served, scale, np.cumsum(2.0 * np.log(diagonal[:served]))
-
-
-def _gram_square(work: np.ndarray, a: np.ndarray, t: int | None = None) -> np.ndarray:
-    """The Gram ``a``, or ``a`` without row and column ``t``, copied to the
-    front of the flat buffer ``work`` as an F-ordered square for LAPACK to
-    factor in place.  ``a`` is symmetric bit for bit, so its rows are copied
-    as the square's columns, the order both are stored in.  With no ``t``
-    every entry falls in the first of the blocks below."""
-    n = len(a) if t is None else len(a) - 1
-    t = n if t is None else t
-    square = work[:n * n].reshape(n, n, order="F")
-    blocks = ((slice(None, t), slice(None, t)), (slice(t, None), slice(t + 1, None)))
-    for rows_out, rows_in in blocks:
-        for cols_out, cols_in in blocks:
-            square.T[rows_out, cols_out] = a[rows_in, cols_in]
-    return square
+    return served, scale, np.cumsum(2.0 * np.log(pivots[:served]))
 
 
 @functools.cache
-def _blas_routine(name: str, nargs: int):
-    """SciPy's BLAS routine ``name``, the one behind ``scipy.linalg.blas``,
-    through the function pointer SciPy exports for Cython."""
+def _routine(name: str, nargs: int):
+    """SciPy's BLAS or LAPACK routine ``name``, the one behind
+    ``scipy.linalg.blas`` or ``scipy.linalg.lapack``, through the function
+    pointer SciPy exports for Cython."""
     import ctypes
 
-    from scipy.linalg import cython_blas
+    from scipy.linalg import cython_blas, cython_lapack
 
-    capsule = cython_blas.__pyx_capi__[name]
+    capsule = cython_blas.__pyx_capi__.get(name) or cython_lapack.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(get_pointer(capsule, get_name(capsule)))
 
 
-def _blas(name: str, *args) -> None:
-    """Call SciPy's BLAS routine ``name`` as Fortran does, every argument by
-    reference: bytes are flags, ints and floats go by a C int or double, and
-    arrays by the address of their first entry.  Unlike the f2py wrappers,
-    which copy a block that is not contiguous, this reads a leading block of
-    a larger F-ordered matrix where it lies, given its leading dimension."""
-    from ctypes import byref, c_double, c_int
+# Scalars go to Fortran by the address of one of these.
+_SCALAR = {int: c_int, float: c_double}
 
-    _blas_routine(name, len(args))(*[
-        x.ctypes.data if isinstance(x, np.ndarray) else x if isinstance(x, bytes)
-        else byref(c_int(x) if isinstance(x, numbers.Integral) else c_double(x))
-        for x in args
-    ])
+
+def _fortran(name: str, *args) -> None:
+    """Call SciPy's BLAS or LAPACK routine ``name`` as Fortran does, every
+    argument by reference: ints and floats by the address of a C int or
+    double; flags (bytes), array addresses (``c_void_p``) and outputs
+    (``byref``) as they are.  Unlike the f2py wrappers, which copy a block
+    that is not contiguous, this reads a leading block of a larger F-ordered
+    matrix where it lies, given its leading dimension."""
+    _routine(name, len(args))(*[x if (scalar := _SCALAR.get(type(x))) is None else byref(scalar(x)) for x in args])
+
+
+def _address(x: np.ndarray) -> c_void_p:
+    """The address of the first entry of ``x``, for :func:`_fortran`."""
+    return c_void_p(x.ctypes.data)
 
 
 # Served stages checked together: the check's temporaries are m-by-_CHECK_BLOCK.
 _CHECK_BLOCK = 128
 
 
-def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray, served: list) -> list:
+def _checked_values(a: np.ndarray, t: int, diagonal: np.ndarray, scale: np.ndarray, served: list) -> list:
     """Float projection norms of the target at the stages of ``served`` that
     the last stage's factor serves, up to the first that fails the check.
 
-    The factor serves a stage of m points when it serves the m-block
-    (:func:`_leading_factor`) and ``zeta_m = U_m^-1 c[:m]`` meets the solve
+    ``a`` is C-ordered; its F-ordered view ``a.T`` holds the factor U in its
+    upper triangle and K in its strict lower one (:func:`_leading_factor`),
+    and ``diagonal`` is K's diagonal.  The factor serves a stage of m points
+    when it serves the m-block and ``zeta_m = U_m^-1 c[:m]`` meets the solve
     contract ``|K_m zeta_m - e_t|_inf <= SOLVE_RTOL (1 + scale[m - 1])``,
     with ``c = U^-T e_t``; its value is then ``sum_{k<m} c_k^2``.  For the
     positive-definite blocks served, ``scale[m - 1]``, their largest
@@ -252,17 +246,20 @@ def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray,
     ``m_b``: column j of ``C`` is ``c[:m_b]`` with its entries from ``m_j``
     on cleared, and since ``U^-1`` is upper triangular, column j of
     ``Z = U_{m_b}^-1 C`` (one ``dtrsm``) is ``zeta_{m_j}`` padded with zeros,
-    so one product ``K_{m_b} Z - e_t 1^T`` holds each stage's residual in its
-    first ``m_j`` rows.  The leading blocks of U and K are read where they
-    lie, never copied, and checking stops at the first block that fails.
+    so one product ``K_{m_b} Z - e_t 1^T`` (one ``dsymm`` on K's lower
+    triangle, with K's diagonal swapped in for it) holds each stage's
+    residual in its first ``m_j`` rows.  The leading blocks of U and K are
+    read where they lie, never copied, and checking stops at the first block
+    that fails.  U is left as it was found.
     """
     from scipy.linalg.blas import dtpsv
     from scipy.linalg.lapack import dtrttp
 
     if not served:
         return []
-    if not (upper.flags.f_contiguous and a.flags.c_contiguous):  # the BLAS calls read them by address
-        raise ValueError("the trace's factor must be F-ordered and its Gram C-ordered")
+    if not a.flags.c_contiguous:  # the BLAS calls read it by address
+        raise ValueError("the trace's Gram must be C-ordered")
+    upper, shared = a.T, a.reshape(-1)[::len(a) + 1]   # the diagonal U and K share, writeable
     served = np.array(served, dtype=np.intp)
     n = int(served[-1])
     e_t = np.zeros(n)
@@ -270,16 +267,19 @@ def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray,
     # the packed solve's rounding is what the golden diagnose CSVs pin; its
     # packed copy of U dies with the call
     c = dtpsv(n, dtrttp(upper)[0], e_t, trans=1)
+    pivots, at = shared[:n].copy(), _address(upper)
     count = 0
     for start in range(0, len(served), _CHECK_BLOCK):
         block = served[start:start + _CHECK_BLOCK]
         m, k = int(block[-1]), len(block)
         inside = np.arange(m) < block[:, None]
         z = (inside * c[:m]).T   # F-ordered, m by k
-        _blas("dtrsm", b"L", b"U", b"N", b"N", m, k, 1.0, upper, len(upper), z, m)
+        z_at = _address(z)
+        _fortran("dtrsm", b"L", b"U", b"N", b"N", m, k, 1.0, at, len(a), z_at, m)
         resid = np.empty((m, k), order="F")
-        # a is C-ordered and symmetric bit for bit, so it reads as K F-ordered
-        _blas("dgemm", b"N", b"N", m, k, m, 1.0, a, len(a), z, m, 0.0, resid, m)
+        shared[:m] = diagonal[:m]
+        _fortran("dsymm", b"L", b"L", m, k, 1.0, at, len(a), z_at, m, 0.0, _address(resid), m)
+        shared[:m] = pivots[:m]
         resid[t] -= 1.0
         np.abs(resid, out=resid).T[~inside] = 0.0
         passed = resid.max(axis=0) <= SOLVE_RTOL * (1.0 + scale[block - 1])
@@ -288,6 +288,34 @@ def _checked_values(a: np.ndarray, t: int, upper: np.ndarray, scale: np.ndarray,
             break
     with np.errstate(over="ignore"):  # the caller names a stage beyond the float range
         return np.cumsum(c * c)[served[:count] - 1].tolist()
+
+
+# Columns of the target-deleted Gram written at a time by _write_minor.
+_MINOR_TILE = 128
+
+
+def _write_minor(a: np.ndarray, t: int, diagonal: np.ndarray) -> np.ndarray:
+    """Write K without row and column ``t`` over the upper triangle of the
+    leading (n - 1)-block of the F-ordered view ``a.T``, from K's strict
+    lower triangle there and its diagonal ``diagonal``, and return the
+    minor's diagonal.
+
+    Column j of the minor's triangle is row j of ``a``; it reads column j of
+    K's triangle, or j + 1 from ``t`` on, with row ``t`` skipped, so the
+    columns are written in order, in tiles of at most ``_MINOR_TILE`` split
+    at ``t``, and no temporary is n-by-n.  Each tile also writes its mirror
+    image, unused, into the strict lower triangle of its square on the
+    diagonal, which no later tile reads."""
+    n = len(a) - 1
+    edges = sorted({*range(0, n, _MINOR_TILE), t, n})
+    for j, end in zip(edges, edges[1:]):
+        shift = int(j >= t)
+        a[j:end, :min(t, end)] = a[:min(t, end), j + shift:end + shift].T
+        if end > t:
+            a[j:end, t:end] = a[t + 1:end + 1, j + shift:end + shift].T
+    minor_diagonal = np.concatenate([diagonal[:t], diagonal[t + 1:]])
+    a.reshape(-1)[:n * (n + 2):n + 2] = minor_diagonal
+    return minor_diagonal
 
 
 def _finite(value: float, target, m: int) -> float:
@@ -306,6 +334,20 @@ def _ratio(log_ratio: float, target, m: int) -> float:
         return _finite(math.inf, target, m)  # raises, naming the stage
 
 
+# sys.getrefcount of an argument that the caller passed as a temporary
+_SOLE_REFERENCES = (lambda a: sys.getrefcount(a))(np.empty(0))
+
+
+def _writable(a: np.ndarray) -> np.ndarray:
+    """``a``, passed as a temporary, or a copy of it when the trace may not
+    overwrite it: when it is read-only, a view, or held anywhere but in this
+    call (a kernel's cached Gram, say).  The reference count is read first:
+    ``a.flags`` holds a reference of its own."""
+    if sys.getrefcount(a) <= _SOLE_REFERENCES and a.flags.writeable and a.flags.owndata:
+        return a
+    return a.copy()
+
+
 @_one_blas_thread
 def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     """``(values, ratios, reason)`` of a float kernel at each reported stage:
@@ -318,28 +360,34 @@ def _float_trace(kernel: Kernel, filtration: Filtration, sizes: list) -> tuple:
     so the Gram is assembled once and one LAPACK Cholesky of each serves
     them: a value while :func:`_checked_values` passes it, a ratio while
     both factors serve its blocks, read from running sums of ``2 log U_kk``.
-    The Gram is not copied, and both factors are taken in place in one work
-    buffer, the minor's after the values' check: two n-by-n arrays in all.
-    A kernel that gives the first reported stage a different matrix on its
-    own than the Gram's leading block has no stage served.  From the first
-    stage either misses, each stage is assembled once and its one pivoted
-    factor gives its value (with its semidefinite and not-PSD verdicts) and
-    its ratio, beside its minor's own factor.
+    Both factors are taken in place in the Gram itself (copied first only
+    when the kernel did not hand over a fresh array, :func:`_writable`):
+    its F-ordered view holds U over K's strict lower triangle, and after
+    the values' check the minor is written over U from that triangle
+    (:func:`_write_minor`) and factored as its leading block.  With the
+    packed copy of U the values' solve needs, a trace peaks at 1.5 n-by-n
+    arrays.  A kernel that gives the first reported stage a different
+    matrix on its own than the Gram's leading block has no stage served.
+    From the first stage either misses, each stage is assembled once and
+    its one pivoted factor gives its value (with its semidefinite and
+    not-PSD verdicts) and its ratio, beside its minor's own factor.
     """
     points, target = filtration.points, filtration.target
     t, first = points.index(target), sizes[0]
-    a = _checked_gram(kernel, points)
+    a = _writable(_checked_gram(kernel, points))
     consistent = first == len(a) or np.array_equal(_checked_gram(kernel, points.prefix(first)), a[:first, :first])
     values, ratios = [], []
     if consistent:  # an inconsistent kernel has no stage served
-        work = np.empty(a.size)   # the factor of a, then that of its minor
-        upper, served, scale, full = _leading_factor(_gram_square(work, a))
-        values = _checked_values(a, t, upper, scale, [m for m in sizes if m <= served])
+        diagonal = a.diagonal().copy()
+        served, scale, full = _leading_factor(a.T, diagonal)
+        values = _checked_values(a, t, diagonal, scale, [m for m in sizes if m <= served])
         values = [_finite(v, target, m) for v, m in zip(values, sizes)]
         if served:
-            rest = np.concatenate([[0.0], _leading_factor(_gram_square(work, a, t))[3]])
-            ratios = [_ratio(rest[m - 1] - full[m - 1], target, m) for m in sizes if m <= min(served, len(rest))]
-        del work, upper   # free the buffer before any stage is solved on its own
+            rest = np.concatenate([[0.0], _leading_factor(a.T, _write_minor(a, t, diagonal))[2]])
+            reach = [m for m in sizes if m <= min(served, len(rest))]
+            ends = np.array(reach, dtype=np.intp) - 1
+            ratios = [_ratio(x, target, m) for x, m in zip((rest[ends] - full[ends]).tolist(), reach)]
+    del a   # free the factors before any stage is solved on its own
     reason = None
     for i in range(min(len(values), len(ratios)), len(sizes)):
         value_due, ratio_due = len(values) == i, reason is None and len(ratios) == i
@@ -374,18 +422,21 @@ def trace(kernel: Kernel, filtration: Filtration) -> FiltrationTrace:
     check, stages are assembled and solved on their own by the pivoted path.
     A float value therefore carries the rounding of the whole factor, within
     the residual contract, and is not bit-identical to a solve of that stage
-    on its own.
+    on its own.  That factor is taken in place in the Gram ``kernel.gram``
+    returned, unless the kernel keeps that array or made it read-only, when
+    a copy is factored and the kernel's array is left as it was.
 
     The determinant ratios det(target-deleted minor) / det(K) are the same
     norms (K^-1)[t, t] by Cramer's rule.  On the exact path each is the
     correctly rounded exact value.  On the float path they are an independent
     cross-check from determinants only (:func:`_float_trace`): the
     target-deleted minor of the last stage is factored after the values'
-    blocked check and before the monotonicity check, so a trace that fails
-    that check has paid for it too.  A stage that falls back is assembled
-    and pivot-factored once, and that one factor gives both its value and
-    its ratio.  A stage without a ratio (a semidefinite minor, say) leaves
-    ``det_ratios`` None and the error's message in ``det_ratio_unavailable``.
+    blocked check and before the monotonicity check, in the same array as
+    the values' factor, so a trace that fails that check has paid for it
+    too.  A stage that falls back is assembled and pivot-factored once, and
+    that one factor gives both its value and its ratio.  A stage without a
+    ratio (a semidefinite minor, say) leaves ``det_ratios`` None and the
+    error's message in ``det_ratio_unavailable``.
     """
     reported = _reported_stages(filtration)
     sizes = [m for _, m in reported]

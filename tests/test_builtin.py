@@ -171,7 +171,8 @@ class TestBridge:
         assert BridgeKernel().gram(list(x)).tobytes() == old.tobytes()
 
     def test_gram_holds_one_temporary(self):
-        # the result and one outer product: two n-by-n arrays at the peak
+        # the result and one block of 128 rows of products: no second
+        # n-by-n array at the peak
         n = 1000
         x = [float(v) for v in np.linspace(0.001, 0.999, n)]
         tracemalloc.start()
@@ -182,7 +183,7 @@ class TestBridge:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * n * n + 2 ** 20
+        assert peak <= 1.25 * 8 * n * n
 
 
 class TestBinomialKernel:

@@ -372,7 +372,7 @@ class TestCoefficientVector:
 
 
 class TestExactSymmetry:
-    """One row-panel test gives the verdict of ``np.array_equal(m, m.T)``
+    """One square-tile test gives the verdict of ``np.array_equal(m, m.T)``
     for Gram matrices and kernel tables alike."""
 
     @staticmethod
@@ -380,16 +380,18 @@ class TestExactSymmetry:
         k = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
         return k + k.T
 
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 600])
     def test_symmetric_passes(self, n):
         m = self._symmetric(n, n)
         assert core._exactly_symmetric(m)
         GramMatrix(PointSet(range(n)), m)
         TableKernel(range(n), m)
 
-    # the entry just past, at and before the first panel's edge, and the
-    # corners: each asymmetric entry, in either triangle, is found
-    @pytest.mark.parametrize("i, j", [(255, 256), (256, 255), (255, 0), (0, 256), (599, 0), (0, 599), (300, 299)])
+    # entries on each side of a tile edge (128) and of a panel edge (256),
+    # the corners, and one in the partial last tile: each asymmetric entry,
+    # in either triangle, is found
+    @pytest.mark.parametrize("i, j", [(127, 128), (128, 127), (255, 256), (256, 255), (255, 0), (0, 256), (599, 0),
+                                      (0, 599), (300, 299), (590, 530)])
     def test_one_asymmetric_entry_fails(self, i, j):
         m = self._symmetric(600, 1)
         m[i, j] = np.nextafter(m[i, j], 2.0)

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-import scipy.linalg.lapack
 from scipy.linalg.blas import dspmv, dtpsv
 from scipy.linalg.lapack import dpotrf, dtrttp
 
@@ -199,6 +198,21 @@ def _count_assembled(monkeypatch):
     monkeypatch.setattr(core, "_checked_gram", counting)
     monkeypatch.setattr(diagnostics, "_checked_gram", counting)
     return sizes
+
+
+def _record_potrf(monkeypatch):
+    # the trace's two factors go through diagnostics._fortran's LAPACK
+    # dpotrf: record each call's order, matrix address and leading dimension
+    calls = []
+    original = diagnostics._fortran
+
+    def recording(name, *args):
+        if name == "dpotrf":
+            calls.append(args[1:4])
+        return original(name, *args)
+
+    monkeypatch.setattr(diagnostics, "_fortran", recording)
+    return calls
 
 
 def _stages(filtration):
@@ -477,17 +491,11 @@ class TestSharedLastStage:
         assert all(row[3] for row in rows)
 
     def test_float_diagnose_assembles_and_factors_last_stage_once(self, tmp_path, monkeypatch):
-        assembled, factored = _count_assembled(monkeypatch), []
-
-        def counting_potrf(matrix, **kwargs):
-            factored.append(len(matrix))
-            return dpotrf(matrix, **kwargs)
-
-        # diagnostics imports dpotrf where it calls it, so it reads this patch
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_potrf)
+        assembled, factored = _count_assembled(monkeypatch), _record_potrf(monkeypatch)
         self._diagnose(tmp_path, "bridge", [k / 41 for k in range(1, 41)], "--stages", "doubling")
         assert assembled == [40, 1]     # the last stage, then the consistency check
-        assert factored == [40, 39]     # the stage, then its target-deleted Gram
+        # the stage, then its target-deleted Gram
+        assert [n for n, _, _ in factored] == [40, 39]
 
     def test_exact_diagnose_assembles_and_eliminates_last_stage_once(self, tmp_path, monkeypatch):
         grams, eliminations = [], []
@@ -779,9 +787,9 @@ def _unit_points(rng, n):
 
 
 class TestTraceMemory:
-    """A float trace holds the last stage's Gram and one work buffer, which
-    holds its factor and then its target-deleted minor's: at its peak, with
-    the packed copy of the factor, 2.5 n^2 doubles and a little more."""
+    """A float trace factors the last stage's Gram and then its
+    target-deleted minor in place in the Gram itself: at its peak, with the
+    packed copy of the factor, 1.5 n^2 doubles and a little more."""
 
     N = 1000
 
@@ -802,7 +810,7 @@ class TestTraceMemory:
         pts = _unit_points(np.random.default_rng(34), self.N)
         tr, peak = self._peak(BridgeKernel(), Filtration.doubling(pts, target=pts[0]))
         assert len(tr.values) == 11
-        assert peak <= 2.5 * 8 * self.N ** 2 + 2 ** 20
+        assert peak <= 1.5 * 8 * self.N ** 2 + 2 ** 20
 
     def test_brownian_prefix_target_first(self):
         # every stage is checked, in blocks whose temporaries are n-by-block
@@ -810,26 +818,84 @@ class TestTraceMemory:
         pts = [float(v) for v in rng.permutation(np.cumsum(rng.uniform(0.5, 1.5, self.N)))]
         tr, peak = self._peak(BrownianKernel(), Filtration.prefixes(pts, target=pts[0]))
         assert len(tr.values) == self.N
-        assert peak <= 2.5 * 8 * self.N ** 2 + 2 ** 20
+        assert peak <= 1.5 * 8 * self.N ** 2 + 2 ** 20
+
+    def test_table_doubling(self):
+        # TableKernel.gram's fancy index is the fresh array the trace factors
+        f = np.random.default_rng(38).standard_normal((self.N, self.N))
+        kernel = TableKernel(range(self.N), f @ f.T + self.N * np.eye(self.N))
+        tr, peak = self._peak(kernel, Filtration.doubling(range(self.N), target=3))
+        assert len(tr.values) == 9
+        assert peak <= 1.5 * 8 * self.N ** 2 + 2 ** 20
 
     def test_factors_in_one_buffer(self, monkeypatch):
-        # both dpotrf calls factor in place, the minor in the front of the
-        # buffer that held the trace's own factor
-        buffers = []
-        potrf = dpotrf
+        # both dpotrf calls factor in place in the Gram the kernel returned,
+        # the minor as its leading 49-block with the Gram's leading dimension
+        grams, original = [], core._checked_gram
 
-        def recording(matrix, **kwargs):
-            out = potrf(matrix, **kwargs)
-            buffers.append((matrix, out[0]))
-            return out
+        def recording(kernel, points):
+            gram = original(kernel, points)
+            grams.append(gram.ctypes.data)   # its address: a reference would make the trace copy it
+            return gram
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording)
+        monkeypatch.setattr(diagnostics, "_checked_gram", recording)
+        factored = _record_potrf(monkeypatch)
         pts = _unit_points(np.random.default_rng(36), 50)
         trace(BridgeKernel(), Filtration.doubling(pts, target=pts[7]))
-        (full, full_out), (minor, minor_out) = buffers
-        assert full_out is full and minor_out is minor
-        assert full.shape == (50, 50) and minor.shape == (49, 49)
-        assert np.shares_memory(full, minor)
+        (n_full, full, lda_full), (n_minor, minor, lda_minor) = factored
+        assert (n_full, lda_full, n_minor, lda_minor) == (50, 50, 49, 50)
+        assert full.value == minor.value == grams[0]
+
+
+class CachedBridgeKernel(BridgeKernel):
+    """A bridge kernel that keeps every Gram it returns, read-only or not."""
+
+    def __init__(self, read_only=False):
+        self.cache, self.read_only = {}, read_only
+
+    def gram(self, labels):
+        key = tuple(labels)
+        if key not in self.cache:
+            self.cache[key] = super().gram(labels)
+            self.cache[key].setflags(write=not self.read_only)
+        return self.cache[key]
+
+
+class TestGramOwnership:
+    """A trace factors the Gram in place only when the kernel handed over a
+    fresh array that nothing else holds; any other Gram is copied first."""
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_kept_gram_is_left_as_it_was(self, read_only):
+        # 300 points: the minor is written in three tiles, split at the target
+        pts = _unit_points(np.random.default_rng(37), 300)
+        filtration = Filtration.prefixes(pts, target=pts[5])
+        kernel = CachedBridgeKernel(read_only)
+        tr = trace(kernel, filtration)
+        fresh = trace(BridgeKernel(), filtration)
+        assert sorted(map(len, kernel.cache)) == [6, 300]   # the first stage, then the last
+        for labels, gram in kernel.cache.items():
+            assert gram.tobytes() == BridgeKernel().gram(list(labels)).tobytes()
+        assert tr.values.tobytes() == fresh.values.tobytes()
+        assert tr.det_ratios.tobytes() == fresh.det_ratios.tobytes()
+
+    def test_writable_copies_all_but_a_fresh_array(self):
+        made = []
+
+        def fresh(read_only=False, view=False):
+            out = np.ones((6, 3))[:3] if view else np.ones((3, 3))
+            out.setflags(write=not read_only)
+            made.append(id(out))
+            return out
+
+        # results go through plain statements: an assert keeps its operands alive
+        kept = id(diagnostics._writable(fresh()))
+        assert kept == made[-1]
+        for flags in ({"read_only": True}, {"view": True}):
+            copied = id(diagnostics._writable(fresh(**flags)))
+            assert copied != made[-1]
+        held = fresh()
+        assert diagnostics._writable(held) is not held
 
 
 class TestBeyondFloatRange:
